@@ -150,12 +150,10 @@ Row bench_variant(const gpusim::Simulator& sim,
 
 /// Batched-family row: the fused native batched path
 /// (exec::execute_batched — one compile/gate, one sweep over count x
-/// blocks, the serving path run_batched takes under
-/// ExecutionMode::kNative) against per-member dispatch — the same 256
-/// members issued as 256 independent requests through the default
-/// (interpreter) serving path, which is the only way a pre-batched
-/// library could answer this workload. The speedup is the end-to-end
-/// win of the batched family. For the Row fields, interp_* carries the
+/// blocks, the path run_batched serves from) against per-member
+/// interpreter dispatch — the same 256 members issued as 256
+/// independent interpreter executions, the oracle the fused path is
+/// arbitrated against. For the Row fields, interp_* carries the
 /// per-member-dispatch leg and native_* the fused leg (the JSON writer
 /// renames them for batched rows).
 Row bench_batched(const gpusim::Simulator& sim,

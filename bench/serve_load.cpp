@@ -13,8 +13,9 @@
 //      micro-fix this bench exists to prove: snapshot dispatch is
 //      allocation-free);
 //   2. closed-loop serve — N client threads issuing a mixed
-//      f32/f64 request stream through serve(), with and without
-//      request coalescing: QPS, latency percentiles, batch stats;
+//      f32/f64 request stream through serve() (admission control plus
+//      native execution): QPS, latency percentiles, native serves and
+//      interpreter fallbacks;
 //   3. admission control — the same closed loop against a tight
 //      latency SLO and queue bound: shed rate and the accounting
 //      invariant requests == served + shed;
@@ -132,8 +133,8 @@ struct RequestShape {
 };
 
 /// Both precisions, hit and near-hit buckets, more than one family —
-/// small sizes keep a serve interpreter-cheap so the closed loop is
-/// throughput-bound on the serving machinery, not the simulator.
+/// small sizes keep a serve cheap so the closed loop weighs the
+/// serving machinery next to kernel execution.
 std::vector<RequestShape> request_mix() {
   std::vector<RequestShape> mix;
   for (const char* name : {"GEMM-NN", "DGEMM-NN", "SYMM-LL", "DSYMM-LL"}) {
@@ -192,8 +193,8 @@ double pct(const obs::Histogram& h, double p) {
 
 struct DispatchRow {
   int threads;
-  /// The serving hot path: snapshot pinned once per batch of work (as
-  /// run()/serve_batch() execute it), lookup per request.
+  /// The serving hot path: snapshot pinned once and reused across
+  /// requests (as run()'s thread-local pin does), lookup per request.
   double snapshot_mops;
   /// The public dispatch() API: thread-cached pin handed out with
   /// every Dispatch (one shared_ptr copy per call).
@@ -240,8 +241,8 @@ std::vector<DispatchRow> run_dispatch_microbench(
 
   // Consuming `sink` keeps the optimizer honest in all three loops.
   std::atomic<uint64_t> sink{0};
-  // The serving hot path exactly as run()/serve_batch() execute it:
-  // the snapshot pin is amortized across requests, each lookup is a
+  // The serving hot path exactly as run() executes it: the thread-local
+  // snapshot pin is amortized across requests, each lookup is a
   // variant-code encode + bit scan + two array loads.
   auto snapshot_op = [&](int, int64_t i) {
     const RequestShape& r = mix[static_cast<size_t>(i) % mix.size()];
@@ -303,8 +304,8 @@ struct ServeRow {
   int clients;
   uint64_t requests = 0;
   uint64_t shed = 0;
-  uint64_t batches = 0;
-  uint64_t coalesced = 0;
+  uint64_t native_serves = 0;
+  uint64_t native_fallbacks = 0;
   double qps = 0.0;
   double p50_us = 0.0, p95_us = 0.0, p99_us = 0.0;
   double shed_rate = 0.0;
@@ -334,7 +335,7 @@ ServeRow run_closed_loop(const gpusim::DeviceModel& device,
       size_t i = static_cast<size_t>(t);
       while (!stop.load(std::memory_order_relaxed)) {
         // Skewed mix: half the traffic hits the hottest key, the rest
-        // spreads over the tail — the shape coalescing exists for.
+        // spreads over the tail.
         ++i;
         const size_t k = i % 2 == 0 ? 0 : (i / 2) % mix.size();
         auto outcome = rt.serve(*mix[k].v, mix[k].a, b[k], &c[k]);
@@ -362,8 +363,8 @@ ServeRow run_closed_loop(const gpusim::DeviceModel& device,
   row.clients = clients;
   row.requests = stats.requests;
   row.shed = stats.shed;
-  row.batches = stats.batches;
-  row.coalesced = stats.coalesced;
+  row.native_serves = stats.native_serves;
+  row.native_fallbacks = stats.native_fallbacks;
   row.qps = elapsed_us > 0
                 ? static_cast<double>(stats.requests) / elapsed_us * 1e6
                 : 0.0;
@@ -388,11 +389,11 @@ ServeRow run_closed_loop(const gpusim::DeviceModel& device,
       stats.failed_requests == 0;
   std::printf(
       "serve     mode=%-12s clients=%d  %6.0f req/s  p50=%-6.0f "
-      "p99=%-8.0f shed=%.1f%%  batches=%llu coalesced=%llu%s\n",
+      "p99=%-8.0f shed=%.1f%%  native=%llu fallbacks=%llu%s\n",
       mode.c_str(), clients, row.qps, row.p50_us, row.p99_us,
       row.shed_rate * 100.0,
-      static_cast<unsigned long long>(row.batches),
-      static_cast<unsigned long long>(row.coalesced),
+      static_cast<unsigned long long>(row.native_serves),
+      static_cast<unsigned long long>(row.native_fallbacks),
       row.accounting_ok ? "" : "  ACCOUNTING MISMATCH");
   return row;
 }
@@ -518,14 +519,14 @@ void write_json(const std::string& path, const gpusim::DeviceModel& device,
         "    {\"mode\": \"%s\", \"clients\": %d, \"requests\": %llu, "
         "\"qps\": %.1f, \"p50_us\": %.1f, \"p95_us\": %.1f, "
         "\"p99_us\": %.1f, \"shed\": %llu, \"shed_rate\": %.4f, "
-        "\"batches\": %llu, \"coalesced\": %llu, "
+        "\"native_serves\": %llu, \"native_fallbacks\": %llu, "
         "\"requests_f32\": %llu, \"requests_f64\": %llu, "
         "\"accounting_ok\": %s}%s\n",
         r.mode.c_str(), r.clients,
         static_cast<unsigned long long>(r.requests), r.qps, r.p50_us,
         r.p95_us, r.p99_us, static_cast<unsigned long long>(r.shed),
-        r.shed_rate, static_cast<unsigned long long>(r.batches),
-        static_cast<unsigned long long>(r.coalesced),
+        r.shed_rate, static_cast<unsigned long long>(r.native_serves),
+        static_cast<unsigned long long>(r.native_fallbacks),
         static_cast<unsigned long long>(r.requests_f32),
         static_cast<unsigned long long>(r.requests_f64),
         r.accounting_ok ? "true" : "false",
@@ -613,28 +614,14 @@ int main(int argc, char** argv) {
   // Sections 2+3: closed-loop serving.
   std::vector<ServeRow> serve_rows;
   for (int clients : {1, 2, 4, 8}) {
-    runtime::RuntimeOptions ropt;
-    ropt.coalesce = true;
-    // Linger long enough for concurrent same-key arrivals to pile on
-    // (service time is tens of ms on this interpreter, so a 20ms
-    // window costs little relative latency).
-    ropt.batch_window_us = 20000.0;
-    serve_rows.push_back(run_closed_loop(device, artifact, prepared,
-                                         "coalesce", clients, duration_ms,
-                                         ropt));
-  }
-  for (int clients : {1, 8}) {
-    runtime::RuntimeOptions ropt;
-    ropt.coalesce = false;
     serve_rows.push_back(run_closed_loop(device, artifact, prepared,
                                          "direct", clients, duration_ms,
-                                         ropt));
+                                         {}));
   }
   {
     // Tight SLO + shallow queue: with 8 closed-loop clients the
     // admission controller must shed; the row proves shed accounting.
     runtime::RuntimeOptions ropt;
-    ropt.coalesce = false;
     ropt.slo_p99_us = 200.0;
     ropt.max_queue_depth = 2;
     serve_rows.push_back(run_closed_loop(device, artifact, prepared,

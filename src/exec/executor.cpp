@@ -306,6 +306,28 @@ Status run_block(const ExecutedKernel& ek,
 
 // ---- ExecCache ----------------------------------------------------
 
+const ExecCache::Result* ExecCache::find_locked(uint64_t key) {
+  auto it = slots_.find(key);
+  if (it == slots_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second.recency);
+  return &it->second.result;
+}
+
+const ExecCache::Result& ExecCache::insert_locked(uint64_t key,
+                                                  Result result) {
+  if (const Result* raced = find_locked(key)) return *raced;
+  lru_.push_front(key);
+  const Result& stored =
+      slots_.emplace(key, Slot{std::move(result), lru_.begin()})
+          .first->second.result;
+  while (slots_.size() > kCapacity) {
+    slots_.erase(lru_.back());
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
+  return stored;
+}
+
 StatusOr<std::shared_ptr<const ExecutedKernel>> ExecCache::get_or_compile(
     const gpusim::CompiledKernel& ck, const ExecOptions& options) {
   const bool use_jit = jit_supported() && !options.force_portable &&
@@ -318,15 +340,9 @@ StatusOr<std::shared_ptr<const ExecutedKernel>> ExecCache::get_or_compile(
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto hit = kernels_.find(key);
-    if (hit != kernels_.end()) {
+    if (const Result* hit = find_locked(key)) {
       ++stats_.cache_hits;
-      return hit->second;
-    }
-    auto miss = failures_.find(key);
-    if (miss != failures_.end()) {
-      ++stats_.cache_hits;
-      return miss->second;
+      return *hit;
     }
   }
 
@@ -335,8 +351,7 @@ StatusOr<std::shared_ptr<const ExecutedKernel>> ExecCache::get_or_compile(
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.compiles;
     ++stats_.failed_lowerings;
-    failures_.emplace(key, lowered.status());
-    return lowered.status();
+    return insert_locked(key, lowered.status());
   }
 
   auto ek = std::make_shared<ExecutedKernel>();
@@ -360,14 +375,15 @@ StatusOr<std::shared_ptr<const ExecutedKernel>> ExecCache::get_or_compile(
   } else {
     ++stats_.portable_kernels;
   }
-  auto [it, inserted] = kernels_.emplace(key, std::move(ek));
-  (void)inserted;  // lost race: keep the first copy
-  return it->second;
+  return insert_locked(key,
+                       std::shared_ptr<const ExecutedKernel>(std::move(ek)));
 }
 
 ExecStats ExecCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  ExecStats out = stats_;
+  out.entries = static_cast<int64_t>(slots_.size());
+  return out;
 }
 
 void ExecCache::count_native_blocks(int64_t n) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,6 +40,8 @@ struct ExecStats {
   int64_t portable_kernels = 0;  // compiles that fell back to the tape
   int64_t failed_lowerings = 0;  // kernels the backend cannot lower
   int64_t native_blocks = 0;     // thread blocks executed natively
+  int64_t entries = 0;           // cached kernels + cached refusals now
+  int64_t evictions = 0;         // least-recently-used entries dropped
 };
 
 /// Per-segment entry point (SysV; the portable executor matches the
@@ -58,8 +61,18 @@ struct ExecutedKernel {
 /// Keyed, thread-safe cache of executable kernels. Lowering failures
 /// are negatively cached (a kernel that cannot be lowered today cannot
 /// be lowered on retry either — the input is content-addressed).
+/// Kernels are specialised to their problem sizes, so a long-running
+/// server would otherwise keep one entry per call shape it ever saw:
+/// the cache holds at most kCapacity entries and evicts the least
+/// recently used one beyond that (an evicted kernel is simply
+/// recompiled on its next use; callers holding it keep it alive).
 class ExecCache {
  public:
+  /// Entry bound, well above the distinct kernels one library serves
+  /// (a 10-entry benchmark library compiles ~250 across its call
+  /// shapes), so steady workloads never evict.
+  static constexpr size_t kCapacity = 1024;
+
   /// Lower + (maybe) JIT `ck`, or return the cached result. A JIT
   /// emission failure (W^X refusal, unsupported host) degrades to the
   /// portable executor and is cached as such.
@@ -70,9 +83,21 @@ class ExecCache {
   void count_native_blocks(int64_t n);
 
  private:
+  using Result = StatusOr<std::shared_ptr<const ExecutedKernel>>;
+  struct Slot {
+    Result result;
+    std::list<uint64_t>::iterator recency;  // position in lru_
+  };
+
+  /// Looks `key` up and marks it most recently used. Caller holds mu_.
+  const Result* find_locked(uint64_t key);
+  /// Caches `result` under `key` (keeping an entry a racing compile
+  /// already stored) and evicts down to kCapacity. Caller holds mu_.
+  const Result& insert_locked(uint64_t key, Result result);
+
   mutable std::mutex mu_;
-  std::map<uint64_t, std::shared_ptr<const ExecutedKernel>> kernels_;
-  std::map<uint64_t, Status> failures_;
+  std::map<uint64_t, Slot> slots_;
+  std::list<uint64_t> lru_;  // most recently used first
   ExecStats stats_;
 };
 

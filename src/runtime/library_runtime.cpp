@@ -57,7 +57,7 @@ std::string DispatchStats::to_string() const {
       "baseline fallbacks, %llu reference fallbacks, %llu shed, %llu "
       "recovered kernel errors, %llu failed; f32 %llu req / %llu tuned, "
       "f64 %llu req / %llu tuned; %llu native serves (%llu interpreter "
-      "fallbacks); %llu reloads, %llu batches (%llu coalesced)",
+      "fallbacks); %llu reloads",
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(hits),
       static_cast<unsigned long long>(near_hits),
@@ -72,9 +72,7 @@ std::string DispatchStats::to_string() const {
       static_cast<unsigned long long>(tuned_served_f64),
       static_cast<unsigned long long>(native_serves),
       static_cast<unsigned long long>(native_fallbacks),
-      static_cast<unsigned long long>(reloads),
-      static_cast<unsigned long long>(batches),
-      static_cast<unsigned long long>(coalesced));
+      static_cast<unsigned long long>(reloads));
   if (batched_requests > 0) {
     out += str_format("; %llu batched calls (%llu members)",
                       static_cast<unsigned long long>(batched_requests),
@@ -120,8 +118,6 @@ LibraryRuntime::LibraryRuntime(const gpusim::DeviceModel& device,
   ins_.native_serves = &metrics_->counter("runtime.native_serves");
   ins_.native_fallbacks = &metrics_->counter("runtime.native_fallbacks");
   ins_.reloads = &metrics_->counter("runtime.reloads");
-  ins_.batches = &metrics_->counter("runtime.batches");
-  ins_.coalesced = &metrics_->counter("runtime.coalesced");
   ins_.batched_requests = &metrics_->counter("runtime.batched_requests");
   ins_.batched_members = &metrics_->counter("runtime.batched_members");
   for (int f = 0; f < 5; ++f) {
@@ -146,9 +142,6 @@ LibraryRuntime::LibraryRuntime(const gpusim::DeviceModel& device,
   ins_.failed_us = &metrics_->histogram("runtime.dispatch_us.failed");
   ins_.serve_us = &metrics_->histogram("runtime.serve_us");
   ins_.reload_us = &metrics_->histogram("runtime.reload_us");
-  ins_.batch_size = &metrics_->histogram("runtime.batch_size");
-  ins_.queue_wait_us = &metrics_->histogram("runtime.queue_wait_us");
-  ins_.batch_exec_us = &metrics_->histogram("runtime.batch_exec_us");
 
   if (options_.baseline_fallback) {
     baselines_ = BaselineTable::build(device);
@@ -172,14 +165,6 @@ LibraryRuntime::LibraryRuntime(const gpusim::DeviceModel& device,
   adm.max_queue_depth = options_.max_queue_depth;
   admission_ =
       std::make_unique<AdmissionController>(adm, ins_.serve_us);
-  BatchQueue::Options bq;
-  bq.max_batch = options_.coalesce ? options_.max_batch : 1;
-  bq.window_us = options_.batch_window_us;
-  queue_ = std::make_unique<BatchQueue>(
-      [this](uint64_t key, const std::vector<BatchQueue::Request*>& batch) {
-        serve_batch(key, batch);
-      },
-      bq);
 }
 
 Status LibraryRuntime::swap_artifact(libgen::Artifact artifact) {
@@ -209,34 +194,107 @@ Status LibraryRuntime::swap_artifact(libgen::Artifact artifact) {
   return status;
 }
 
-int64_t LibraryRuntime::dispatch_size(const Variant& v,
-                                      const blas3::Matrix& a,
-                                      const blas3::Matrix& b,
-                                      const blas3::Matrix* c) {
+namespace {
+
+/// A call's true M/N/K, derived from its operand shapes — the one
+/// derivation dispatch_size() and check_operands() share.
+struct CallDims {
   int64_t m = 0, n = 0, k = 0;
+};
+
+CallDims call_dims(const Variant& v, const blas3::Matrix& a,
+                   const blas3::Matrix& b, const blas3::Matrix* c) {
+  CallDims d;
   switch (v.family) {
     case blas3::Family::kGemm:
       // C(m×n) += op(A)·op(B): m/n are the output extents, k is A's
       // contraction extent.
-      m = c != nullptr ? c->rows() : b.rows();
-      n = c != nullptr ? c->cols() : b.cols();
-      k = v.trans_a == blas3::Trans::kT ? a.rows() : a.cols();
+      d.m = c != nullptr ? c->rows() : b.rows();
+      d.n = c != nullptr ? c->cols() : b.cols();
+      d.k = v.trans_a == blas3::Trans::kT ? a.rows() : a.cols();
       break;
     case blas3::Family::kSyrk:
       // C(n×n) += op(A)·op(A)^T: the routine never reads b, so its
       // shape must not steer dispatch.
-      m = c != nullptr ? c->rows() : b.rows();
-      n = c != nullptr ? c->cols() : b.cols();
-      k = v.trans == blas3::Trans::kT ? a.rows() : a.cols();
+      d.m = c != nullptr ? c->rows() : b.rows();
+      d.n = c != nullptr ? c->cols() : b.cols();
+      d.k = v.trans == blas3::Trans::kT ? a.rows() : a.cols();
       break;
     default:
       // SYMM / TRMM / TRSM: the structured operand A is square over one
       // of B's extents, so the in/out panel B carries both true dims.
-      m = b.rows();
-      n = b.cols();
+      d.m = b.rows();
+      d.n = b.cols();
       break;
   }
-  return std::max({m, n, k, int64_t{1}});
+  return d;
+}
+
+bool has_shape(const blas3::Matrix& x, int64_t rows, int64_t cols) {
+  return x.rows() == rows && x.cols() == cols;
+}
+
+/// Rejects a call whose operands cannot describe one BLAS3 problem: a
+/// wrong element type, a missing output, or A/B/C extents that disagree
+/// with the call's M/N/K. Kernels and the CPU reference alike trust
+/// those extents, so such a call would otherwise be answered from zero
+/// padding or out-of-bounds reads.
+Status check_operands(const Variant& v, const blas3::Matrix& a,
+                      const blas3::Matrix& b, const blas3::Matrix* c) {
+  // An f64 routine silently fed f32-tagged storage (or vice versa)
+  // would compute at the wrong precision.
+  if (a.precision() != v.precision || b.precision() != v.precision ||
+      (c != nullptr && c->precision() != v.precision)) {
+    return invalid_argument(str_format("%s expects %s matrices",
+                                       v.name().c_str(),
+                                       precision_name(v.precision)));
+  }
+  const bool trsm = v.family == blas3::Family::kTrsm;
+  if (c == nullptr && !trsm) {
+    return invalid_argument(v.name() + " needs an output matrix c");
+  }
+  const CallDims d = call_dims(v, a, b, c);
+  bool consistent = true;
+  switch (v.family) {
+    case blas3::Family::kGemm: {
+      const bool ta = v.trans_a == blas3::Trans::kT;
+      const bool tb = v.trans_b == blas3::Trans::kT;
+      consistent = has_shape(a, ta ? d.k : d.m, ta ? d.m : d.k) &&
+                   has_shape(b, tb ? d.n : d.k, tb ? d.k : d.n);
+      break;
+    }
+    case blas3::Family::kSyrk: {
+      const bool ta = v.trans == blas3::Trans::kT;
+      consistent = d.m == d.n && has_shape(a, ta ? d.k : d.n, ta ? d.n : d.k);
+      break;
+    }
+    default: {
+      const int64_t side = v.side == blas3::Side::kLeft ? d.m : d.n;
+      consistent = has_shape(a, side, side) &&
+                   (trsm || has_shape(*c, d.m, d.n));
+      break;
+    }
+  }
+  if (consistent) return Status::ok();
+  auto shape = [](const blas3::Matrix* x) {
+    return x == nullptr ? std::string("-")
+                        : str_format("%lldx%lld",
+                                     static_cast<long long>(x->rows()),
+                                     static_cast<long long>(x->cols()));
+  };
+  return invalid_argument(str_format(
+      "%s operand extents disagree: A %s, B %s, C %s", v.name().c_str(),
+      shape(&a).c_str(), shape(&b).c_str(), shape(c).c_str()));
+}
+
+}  // namespace
+
+int64_t LibraryRuntime::dispatch_size(const Variant& v,
+                                      const blas3::Matrix& a,
+                                      const blas3::Matrix& b,
+                                      const blas3::Matrix* c) {
+  const CallDims d = call_dims(v, a, b, c);
+  return std::max({d.m, d.n, d.k, int64_t{1}});
 }
 
 const std::shared_ptr<const DispatchSnapshot>& LibraryRuntime::pinned()
@@ -289,29 +347,23 @@ void LibraryRuntime::count_request(const Variant& v) const {
       ->add();
 }
 
-Status LibraryRuntime::execute_dispatched(
-    const ir::Program& program, const Variant& v, const blas3::Matrix& a,
-    blas3::Matrix& b, blas3::Matrix* c,
-    const std::map<std::string, bool>& bool_params) const {
-  if (options_.execution == ExecutionMode::kNative) {
-    Status native = exec::execute_program(sim_.device(), program, v, a, b,
-                                          c, bool_params, exec_cache_);
-    if (native.is_ok()) {
-      ins_.native_serves->add();
-      return native;
-    }
-    // A failed native attempt never touched b/c (outputs are only
-    // written on success), so the interpreter can retry cleanly.
-    ins_.native_fallbacks->add();
-    OA_LOG(kWarning) << "LibraryRuntime: native execution of " << v.name()
-                     << " failed (" << native.to_string()
-                     << "), retrying on the interpreter";
+template <typename Retry>
+Status LibraryRuntime::native_first(const Status& native, const Variant& v,
+                                    const Retry& retry) const {
+  if (native.is_ok()) {
+    ins_.native_serves->add();
+    return native;
   }
-  return engine::execute_program(sim_, program, v, a, b, c, bool_params);
+  // A failed native attempt never touched b/c (outputs are only read
+  // back on success), so the interpreter can retry cleanly.
+  ins_.native_fallbacks->add();
+  OA_LOG(kWarning) << "LibraryRuntime: native execution of " << v.name()
+                   << " failed (" << native.to_string()
+                   << "), retrying on the interpreter";
+  return retry();
 }
 
 void LibraryRuntime::prewarm(const DispatchSnapshot& snap) const {
-  if (options_.execution != ExecutionMode::kNative) return;
   for (const DispatchSnapshot::Entry& entry : snap.entries()) {
     const ir::Env int_params =
         engine::size_env(*entry.variant, entry.tuned_size);
@@ -326,13 +378,14 @@ void LibraryRuntime::prewarm(const DispatchSnapshot& snap) const {
   }
 }
 
+template <typename Execute, typename Reference>
 StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
     const DispatchSnapshot& snap, const Dispatch& d, const Variant& v,
-    const blas3::Matrix& a, blas3::Matrix& b, blas3::Matrix* c,
-    double start_us, bool pre_executed) const {
+    double start_us, const Execute& execute,
+    const Reference& reference) const {
   // Whole-call latency lands in the histogram of the *final* outcome,
   // so p99 per path answers "what does a request cost when it ends up
-  // here" — including queue wait and the failed attempts before it.
+  // here" — including the failed attempts before it.
   auto settle = [&](obs::Histogram* h) {
     const double us = obs::now_us() - start_us;
     h->record(us);
@@ -344,10 +397,7 @@ StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
   uint64_t pending_errors = 0;
 
   if (d.program != nullptr) {
-    Status served =
-        pre_executed ? Status::ok()
-                     : execute_dispatched(*d.program, v, a, b, c,
-                                          *d.bool_params);
+    Status served = execute(*d.program, *d.bool_params);
     if (served.is_ok()) {
       if (d.outcome == DispatchOutcome::kHit) {
         ins_.hits->add();
@@ -371,8 +421,7 @@ StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
   if (options_.baseline_fallback) {
     const ir::Program* base = snap.baseline(variant_code(v));
     if (base != nullptr) {
-      Status served =
-          execute_dispatched(*base, v, a, b, c, no_bool_params());
+      Status served = execute(*base, no_bool_params());
       if (served.is_ok()) {
         ins_.baseline_fallbacks->add();
         ins_.recovered_errors->add(pending_errors);
@@ -383,27 +432,34 @@ StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
     }
   }
 
-  if (v.family != blas3::Family::kTrsm && c == nullptr) {
-    ins_.failed_requests->add();
-    settle(ins_.failed_us);
-    return invalid_argument("reference fallback for " + v.name() +
-                            " needs an output matrix c");
-  }
-  if (v.family == blas3::Family::kTrsm) {
-    // TRSM solves in place in b; stage into a copy so a failed kernel
-    // attempt above can't have left partial results behind.
-    blas3::Matrix b_ref = b;
-    blas3::run_reference(v, a, b_ref, c);
-    b = std::move(b_ref);
-  } else {
-    // Every other family only *reads* b (output goes to c), so the
-    // staging copy is pure waste.
-    blas3::run_reference(v, a, b, c);
-  }
+  reference();
   ins_.reference_fallbacks->add();
   ins_.recovered_errors->add(pending_errors);
   settle(ins_.reference_us);
   return DispatchOutcome::kFallbackReference;
+}
+
+template <typename ServeCall>
+StatusOr<DispatchOutcome> LibraryRuntime::admitted(
+    const Variant& v, const ServeCall& serve_call) const {
+  const double start_us = obs::now_us();
+  // The depth the candidate sees excludes itself.
+  if (!admission_->admit(in_flight_.load(std::memory_order_relaxed))) {
+    count_request(v);
+    ins_.shed->add();
+    ins_.shed_us->record(obs::now_us() - start_us);
+    return DispatchOutcome::kShed;
+  }
+  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  StatusOr<DispatchOutcome> outcome = serve_call();
+  in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  return outcome;
+}
+
+Status LibraryRuntime::reject(const Status& status, double start_us) const {
+  ins_.failed_requests->add();
+  ins_.failed_us->record(obs::now_us() - start_us);
+  return status;
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::run(const Variant& v,
@@ -412,17 +468,8 @@ StatusOr<DispatchOutcome> LibraryRuntime::run(const Variant& v,
                                               blas3::Matrix* c) const {
   const double start_us = obs::now_us();
   count_request(v);
-
-  // Requests must hand in matrices of the variant's element type: an
-  // f64 routine silently fed f32-tagged storage (or vice versa) would
-  // compute at the wrong precision, so it is an error, not a fallback.
-  if (a.precision() != v.precision || b.precision() != v.precision ||
-      (c != nullptr && c->precision() != v.precision)) {
-    ins_.failed_requests->add();
-    ins_.failed_us->record(obs::now_us() - start_us);
-    return invalid_argument(
-        str_format("%s expects %s matrices", v.name().c_str(),
-                   precision_name(v.precision)));
+  if (Status bad = check_operands(v, a, b, c); !bad.is_ok()) {
+    return reject(bad, start_us);
   }
 
   // One snapshot pin for the whole request: dispatch, execution and
@@ -431,78 +478,37 @@ StatusOr<DispatchOutcome> LibraryRuntime::run(const Variant& v,
   // for the whole serve (this thread only refreshes it on its next
   // request).
   const DispatchSnapshot& snap = *pinned();
-  Dispatch d = dispatch_on(snap, v, dispatch_size(v, a, b, c));
-  return serve_with(snap, d, v, a, b, c, start_us);
+  const Dispatch d = dispatch_on(snap, v, dispatch_size(v, a, b, c));
+  auto execute = [&](const ir::Program& program,
+                     const std::map<std::string, bool>& bools) {
+    return native_first(
+        exec::execute_program(sim_.device(), program, v, a, b, c, bools,
+                              exec_cache_),
+        v, [&] {
+          return engine::execute_program(sim_, program, v, a, b, c, bools);
+        });
+  };
+  auto reference = [&] {
+    if (v.family == blas3::Family::kTrsm) {
+      // TRSM solves in place in b; stage into a copy so a failed kernel
+      // attempt above can't have left partial results behind.
+      blas3::Matrix b_ref = b;
+      blas3::run_reference(v, a, b_ref, c);
+      b = std::move(b_ref);
+    } else {
+      // Every other family only *reads* b (output goes to c), so the
+      // staging copy is pure waste.
+      blas3::run_reference(v, a, b, c);
+    }
+  };
+  return serve_with(snap, d, v, start_us, execute, reference);
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::serve(const Variant& v,
                                                 const blas3::Matrix& a,
                                                 blas3::Matrix& b,
                                                 blas3::Matrix* c) const {
-  const double start_us = obs::now_us();
-  count_request(v);
-
-  if (a.precision() != v.precision || b.precision() != v.precision ||
-      (c != nullptr && c->precision() != v.precision)) {
-    ins_.failed_requests->add();
-    ins_.failed_us->record(obs::now_us() - start_us);
-    return invalid_argument(
-        str_format("%s expects %s matrices", v.name().c_str(),
-                   precision_name(v.precision)));
-  }
-
-  // Admission control: the depth the candidate sees excludes itself.
-  const size_t depth = in_flight_.load(std::memory_order_relaxed);
-  if (!admission_->admit(depth)) {
-    ins_.shed->add();
-    ins_.shed_us->record(obs::now_us() - start_us);
-    return DispatchOutcome::kShed;
-  }
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-
-  StatusOr<DispatchOutcome> outcome = [&]() -> StatusOr<DispatchOutcome> {
-    if (options_.coalesce) {
-      const int64_t n = dispatch_size(v, a, b, c);
-      // Key axes: variant code | batch-count bucket | size bucket. The
-      // serve() path carries single-member calls (batch count 1 →
-      // bucket 0); the batch axis keeps the key scheme shared with
-      // batched traffic accounting.
-      const uint64_t key =
-          (static_cast<uint64_t>(variant_code(v)) << 12) |
-          (static_cast<uint64_t>(batch_bucket(1)) << 6) |
-          static_cast<uint64_t>(size_bucket(n));
-      return queue_->submit(key, v, a, b, c);
-    }
-    const DispatchSnapshot& snap = *pinned();
-    Dispatch d = dispatch_on(snap, v, dispatch_size(v, a, b, c));
-    return serve_with(snap, d, v, a, b, c, start_us);
-  }();
-
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  return outcome;
-}
-
-Status LibraryRuntime::execute_batched_dispatched(
-    const ir::Program& program, const Variant& v,
-    const std::vector<blas3::Matrix>& a, std::vector<blas3::Matrix>& b,
-    std::vector<blas3::Matrix>* c,
-    const std::map<std::string, bool>& bool_params) const {
-  if (options_.execution == ExecutionMode::kNative) {
-    Status native = exec::execute_batched(sim_.device(), program, v, a, b,
-                                          c, bool_params, exec_cache_);
-    if (native.is_ok()) {
-      ins_.native_serves->add();
-      return native;
-    }
-    // Failed native members may have written into the strided staging
-    // buffers but never into b/c (read-back happens only on success),
-    // so the interpreter loop retries cleanly.
-    ins_.native_fallbacks->add();
-    OA_LOG(kWarning) << "LibraryRuntime: native batched execution of "
-                     << v.name() << " failed (" << native.to_string()
-                     << "), retrying on the interpreter";
-  }
-  return engine::execute_batched(sim_, program, v, a, b, c, bool_params);
+  return admitted(v, [&] { return run(v, a, b, c); });
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::run_batched(
@@ -513,166 +519,57 @@ StatusOr<DispatchOutcome> LibraryRuntime::run_batched(
   ins_.batched_requests->add();
   ins_.batched_members->add(static_cast<uint64_t>(a.size()));
 
-  auto fail = [&](Status status) -> StatusOr<DispatchOutcome> {
-    ins_.failed_requests->add();
-    ins_.failed_us->record(obs::now_us() - start_us);
-    return status;
-  };
   if (v.batch == blas3::Batch::kSingle) {
-    return fail(invalid_argument("run_batched needs a batched variant; " +
-                                 v.name() + " is single"));
-  }
-  if (a.empty() || a.size() != b.size() ||
-      (c != nullptr && c->size() != a.size())) {
-    return fail(
-        invalid_argument("batched operands disagree on batch count"));
+    return reject(invalid_argument("run_batched needs a batched variant; " +
+                                   v.name() + " is single"),
+                  start_us);
   }
   if (c == nullptr) {
-    return fail(invalid_argument("batched " + v.name() +
-                                 " needs output matrices c"));
+    return reject(
+        invalid_argument("batched " + v.name() + " needs output matrices c"),
+        start_us);
+  }
+  if (a.empty() || a.size() != b.size() || c->size() != a.size()) {
+    return reject(
+        invalid_argument("batched operands disagree on batch count"),
+        start_us);
   }
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].precision() != v.precision ||
-        b[i].precision() != v.precision ||
-        (*c)[i].precision() != v.precision) {
-      return fail(invalid_argument(
-          str_format("%s expects %s matrices", v.name().c_str(),
-                     precision_name(v.precision))));
+    Status bad = check_operands(v, a[i], b[i], &(*c)[i]);
+    if (!bad.is_ok()) {
+      return reject(invalid_argument(str_format(
+                        "batch member %zu: %s", i, bad.message().c_str())),
+                    start_us);
     }
   }
-
-  auto settle = [&](obs::Histogram* h) {
-    const double us = obs::now_us() - start_us;
-    h->record(us);
-    ins_.serve_us->record(us);
-    admission_->on_complete();
-  };
-  uint64_t pending_errors = 0;
 
   // One pin, one member-size dispatch for the whole batch; the batched
   // variant has its own code, so tuned batched entries never collide
   // with single-GEMM ones.
   const DispatchSnapshot& snap = *pinned();
-  Dispatch d = dispatch_on(snap, v, dispatch_size(v, a[0], b[0], &(*c)[0]));
-
-  if (d.program != nullptr) {
-    Status served =
-        execute_batched_dispatched(*d.program, v, a, b, c, *d.bool_params);
-    if (served.is_ok()) {
-      if (d.outcome == DispatchOutcome::kHit) {
-        ins_.hits->add();
-        settle(ins_.hit_us);
-      } else {
-        ins_.near_hits->add();
-        settle(ins_.near_hit_us);
-      }
-      ins_.tuned_served_by_prec[static_cast<int>(v.precision)]->add();
-      return d.outcome;
+  const Dispatch d =
+      dispatch_on(snap, v, dispatch_size(v, a[0], b[0], &(*c)[0]));
+  auto execute = [&](const ir::Program& program,
+                     const std::map<std::string, bool>& bools) {
+    return native_first(
+        exec::execute_batched(sim_.device(), program, v, a, b, c, bools,
+                              exec_cache_),
+        v, [&] {
+          return engine::execute_batched(sim_, program, v, a, b, c, bools);
+        });
+  };
+  auto reference = [&] {
+    for (size_t i = 0; i < a.size(); ++i) {
+      blas3::run_reference(v, a[i], b[i], &(*c)[i]);
     }
-    ++pending_errors;
-    OA_LOG(kWarning) << "LibraryRuntime: tuned batched " << v.name()
-                     << " failed (" << served.to_string()
-                     << "), falling back";
-  }
-
-  if (options_.baseline_fallback) {
-    const ir::Program* base = snap.baseline(variant_code(v));
-    if (base != nullptr) {
-      Status served =
-          execute_batched_dispatched(*base, v, a, b, c, no_bool_params());
-      if (served.is_ok()) {
-        ins_.baseline_fallbacks->add();
-        ins_.recovered_errors->add(pending_errors);
-        settle(ins_.baseline_us);
-        return DispatchOutcome::kFallbackBaseline;
-      }
-      ++pending_errors;
-    }
-  }
-
-  for (size_t i = 0; i < a.size(); ++i) {
-    blas3::run_reference(v, a[i], b[i], &(*c)[i]);
-  }
-  ins_.reference_fallbacks->add();
-  ins_.recovered_errors->add(pending_errors);
-  settle(ins_.reference_us);
-  return DispatchOutcome::kFallbackReference;
+  };
+  return serve_with(snap, d, v, start_us, execute, reference);
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::serve_batched(
     const Variant& v, const std::vector<blas3::Matrix>& a,
     std::vector<blas3::Matrix>& b, std::vector<blas3::Matrix>* c) const {
-  // Admission sees one request per batched call (the batch is the unit
-  // of work the caller retries); no coalescing — it is already a batch.
-  const size_t depth = in_flight_.load(std::memory_order_relaxed);
-  if (!admission_->admit(depth)) {
-    ins_.shed->add();
-    ins_.shed_us->record(0.0);
-    return DispatchOutcome::kShed;
-  }
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  StatusOr<DispatchOutcome> outcome = run_batched(v, a, b, c);
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  return outcome;
-}
-
-void LibraryRuntime::serve_batch(
-    uint64_t key, const std::vector<BatchQueue::Request*>& batch) const {
-  ins_.batches->add();
-  ins_.batch_size->record(static_cast<double>(batch.size()));
-  if (batch.size() > 1) {
-    ins_.coalesced->add(static_cast<uint64_t>(batch.size() - 1));
-  }
-  // One snapshot pin and one dispatch for the whole batch — every
-  // request shares the (variant code, size bucket) of `key`, so the
-  // same table cell serves them all.
-  const DispatchSnapshot& snap = *pinned();
-  Dispatch d;
-  bool exact = false;
-  const int code = static_cast<int>(key >> 12);
-  const int bucket = static_cast<int>(key & 63);
-  const DispatchSnapshot::Entry* entry = snap.lookup(code, bucket, &exact);
-  if (entry != nullptr) {
-    d.outcome = exact ? DispatchOutcome::kHit : DispatchOutcome::kNearHit;
-    d.program = &entry->program;
-    d.bool_params = &entry->bool_params;
-    d.tuned_gflops = entry->gflops;
-  }
-  const double serve_start = obs::now_us();
-
-  // ExecutionMode::kNative: the leader pushes every member of the
-  // batch through one executor invocation loop — the shared dispatch
-  // means one cached ExecutedKernel serves all members, so the loop is
-  // pure execution (zero per-member compiles) and its total time is
-  // the batch's amortizable cost ("runtime.batch_exec_us").
-  std::vector<bool> pre_executed(batch.size(), false);
-  if (options_.execution == ExecutionMode::kNative &&
-      d.program != nullptr) {
-    const double exec_start = obs::now_us();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      BatchQueue::Request* req = batch[i];
-      Status native =
-          exec::execute_program(sim_.device(), *d.program, *req->v,
-                                *req->a, *req->b, req->c, *d.bool_params,
-                                exec_cache_);
-      if (native.is_ok()) {
-        ins_.native_serves->add();
-        pre_executed[i] = true;
-      } else {
-        // This member retries on the interpreter in serve_with below;
-        // its outputs are untouched (native writes only on success).
-        ins_.native_fallbacks->add();
-      }
-    }
-    ins_.batch_exec_us->record(obs::now_us() - exec_start);
-  }
-
-  for (size_t i = 0; i < batch.size(); ++i) {
-    BatchQueue::Request* req = batch[i];
-    ins_.queue_wait_us->record(serve_start - req->submit_us);
-    req->result = serve_with(snap, d, *req->v, *req->a, *req->b, req->c,
-                             req->submit_us, pre_executed[i]);
-  }
+  return admitted(v, [&] { return run_batched(v, a, b, c); });
 }
 
 DispatchStats LibraryRuntime::stats() const {
@@ -700,8 +597,6 @@ DispatchStats LibraryRuntime::stats() const {
   s.native_serves = ins_.native_serves->value();
   s.native_fallbacks = ins_.native_fallbacks->value();
   s.reloads = ins_.reloads->value();
-  s.batches = ins_.batches->value();
-  s.coalesced = ins_.coalesced->value();
   s.batched_requests = ins_.batched_requests->value();
   s.batched_members = ins_.batched_members->value();
   for (int f = 0; f < 5; ++f) {

@@ -14,11 +14,13 @@
 //   * hot reload — swap_artifact() builds a fresh snapshot from a new
 //     artifact and publishes it atomically; in-flight requests finish
 //     on the snapshot they pinned, so a reload never drops a request;
-//   * coalescing + admission control — serve() routes requests
-//     through a BatchQueue that batches same-(variant, size-bucket)
-//     traffic under one dispatch, and an AdmissionController that
-//     sheds load (DispatchOutcome::kShed) when the p99 latency SLO is
-//     unattainable; run() is the direct, uncoalesced path.
+//   * native execution — dispatched kernels run as JIT-lowered native
+//     code (src/exec) from a cache the runtime prewarms per snapshot;
+//     the gpusim interpreter only answers for a kernel the native
+//     backend refuses or fails (counted in runtime.native_fallbacks);
+//   * admission control — serve() is run() behind an
+//     AdmissionController that sheds load (DispatchOutcome::kShed)
+//     when the p99 latency SLO is unattainable.
 //
 // Dispatch policy:
 //   * exact hit    — the artifact holds an entry for the variant whose
@@ -49,30 +51,12 @@
 #include "gpusim/simulator.hpp"
 #include "libgen/artifact.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/batch_queue.hpp"
+#include "runtime/admission.hpp"
 #include "runtime/dispatch_snapshot.hpp"
 
 namespace oa::runtime {
 
-/// How dispatched kernels compute their results.
-enum class ExecutionMode {
-  /// Lockstep SIMT interpretation (gpusim) — the validated original.
-  kInterpreter,
-  /// Native execution backend (src/exec): kernels are lowered once,
-  /// JIT-compiled where the host supports it, cached process-wide, and
-  /// run as machine code. Results are checked against the interpreter
-  /// by the verification harness (oacheck --check native); a kernel
-  /// the backend cannot lower or that fails natively falls back to the
-  /// interpreter per request, so kNative never serves fewer requests
-  /// than kInterpreter.
-  kNative,
-};
-
 struct RuntimeOptions {
-  /// Execution backend for tuned and baseline kernels. kNative serves
-  /// actual computed matrices from JIT-lowered kernels, with the
-  /// interpreter as a per-request fallback.
-  ExecutionMode execution = ExecutionMode::kInterpreter;
   /// Serve misses from the CUBLAS-like baseline schedule (simulated on
   /// the same device). Off = CPU reference only.
   bool baseline_fallback = true;
@@ -82,16 +66,9 @@ struct RuntimeOptions {
   /// example inject a shared one for a single export file.
   obs::MetricsRegistry* metrics = nullptr;
 
-  // --- serve() path (coalescing + admission control) -----------------
-  /// Coalesce same-(variant, size-bucket) requests into one batched
-  /// execution. Off = serve() behaves like run() plus admission.
-  bool coalesce = true;
-  /// Largest coalesced batch.
-  size_t max_batch = 16;
-  /// Batch-leader linger window in microseconds (0 = no added wait).
-  double batch_window_us = 0.0;
+  // --- serve() path (admission control) -------------------------------
   /// p99 latency SLO in microseconds; above-target recent traffic
-  /// sheds new requests while the queue is non-empty. 0 = off.
+  /// sheds new requests while others are in flight. 0 = off.
   double slo_p99_us = 0.0;
   /// Hard in-flight request bound for serve(); 0 = unbounded.
   size_t max_queue_depth = 0;
@@ -126,8 +103,10 @@ const char* outcome_name(DispatchOutcome outcome);
 ///
 /// Kernel failures are split by what happened next: a tuned/baseline
 /// kernel that failed but whose request a later fallback stage
-/// answered is *recovered*; a request that failed on every path is
-/// *failed* (and never reported as recovered).
+/// answered is *recovered*; a request that failed on every path, or
+/// that was rejected up front (element type, missing output, operand
+/// extents that disagree), is *failed* (and never reported as
+/// recovered).
 struct DispatchStats {
   uint64_t requests = 0;  // derived: sum of the component counters
   uint64_t hits = 0;
@@ -145,17 +124,12 @@ struct DispatchStats {
   uint64_t requests_f64 = 0;
   uint64_t tuned_served_f32 = 0;
   uint64_t tuned_served_f64 = 0;
-  /// Native-execution trajectory (ExecutionMode::kNative): requests
-  /// whose kernel ran as native code / native attempts that fell back
-  /// to the interpreter.
+  /// Native-execution trajectory: kernel executions that ran as
+  /// native code / native attempts that fell back to the interpreter.
   uint64_t native_serves = 0;
   uint64_t native_fallbacks = 0;
   /// Hot-reload trajectory: snapshots published after the first.
   uint64_t reloads = 0;
-  /// Coalescing trajectory: batches served / requests that rode along
-  /// in a batch behind a leader.
-  uint64_t batches = 0;
-  uint64_t coalesced = 0;
   /// Batched-family trajectory (run_batched/serve_batched): batched
   /// calls served and the total member count across them.
   uint64_t batched_requests = 0;
@@ -236,11 +210,13 @@ class LibraryRuntime {
   /// Pure thread-safe lookup for (variant, problem size n).
   Dispatch dispatch(const blas3::Variant& v, int64_t n) const;
 
-  /// Serve one BLAS3 call directly: run the dispatched kernel
-  /// functionally on the simulated device (matrix conventions as
-  /// OaFramework::run), falling back to baseline / CPU reference on a
-  /// miss or execution failure. Thread-safe; returns how the request
-  /// was ultimately served. Never coalesces, never sheds.
+  /// Serve one BLAS3 call directly: run the dispatched kernel natively
+  /// (matrix conventions as OaFramework::run), on the interpreter if
+  /// the native backend refuses it, falling back to baseline / CPU
+  /// reference on a miss or execution failure. Operands whose element
+  /// type or A/B/C extents disagree with the call are rejected with
+  /// invalid_argument. Thread-safe; returns how the request was
+  /// ultimately served. Never sheds.
   StatusOr<DispatchOutcome> run(const blas3::Variant& v,
                                 const blas3::Matrix& a, blas3::Matrix& b,
                                 blas3::Matrix* c) const;
@@ -248,44 +224,35 @@ class LibraryRuntime {
   /// Serve one BLAS3 call through the production path: admission
   /// control first (DispatchOutcome::kShed when the SLO is
   /// unattainable — an OK StatusOr whose outcome the caller must
-  /// check), then the coalescing BatchQueue (RuntimeOptions::coalesce)
-  /// or the direct path. Blocks until served or shed.
+  /// check), then run(). Blocks until served or shed.
   StatusOr<DispatchOutcome> serve(const blas3::Variant& v,
                                   const blas3::Matrix& a, blas3::Matrix& b,
                                   blas3::Matrix* c) const;
 
   /// Serve one *batched* BLAS3 call directly (v.batch != kSingle):
   /// operand vectors carry one matrix per batch member and must agree
-  /// on the batch count. Dispatch resolves on the member size under
-  /// the batched variant's own code; execution is native-first under
-  /// ExecutionMode::kNative (the fused exec::execute_batched), then
-  /// the interpreter loop-of-members, then the CPU reference loop.
-  /// Thread-safe; never coalesces, never sheds.
+  /// on the batch count; every member is validated like a run() call.
+  /// Dispatch resolves on the member size under the batched variant's
+  /// own code; execution is native-first (the fused
+  /// exec::execute_batched), then the interpreter loop-of-members,
+  /// then the CPU reference loop. Thread-safe; never sheds.
   StatusOr<DispatchOutcome> run_batched(const blas3::Variant& v,
                                         const std::vector<blas3::Matrix>& a,
                                         std::vector<blas3::Matrix>& b,
                                         std::vector<blas3::Matrix>* c) const;
 
   /// run_batched behind admission control (DispatchOutcome::kShed when
-  /// the SLO is unattainable). Batched requests never enter the
-  /// coalescing queue — they already are a batch.
+  /// the SLO is unattainable); admission sees one request per batched
+  /// call.
   StatusOr<DispatchOutcome> serve_batched(
       const blas3::Variant& v, const std::vector<blas3::Matrix>& a,
       std::vector<blas3::Matrix>& b, std::vector<blas3::Matrix>* c) const;
 
-  /// Power-of-two bucket of a batch count (floor(log2(count))); the
-  /// third axis of the coalescing dispatch key next to the variant
-  /// code and the size bucket.
-  static int batch_bucket(int64_t count) {
-    return DispatchSnapshot::size_bucket(count);
-  }
-
   DispatchStats stats() const;
   void reset_stats();
 
-  /// Native-backend compile/cache counters (all zero under
-  /// ExecutionMode::kInterpreter). A warm re-serve of the same library
-  /// shows cache_hits growing while compiles stays put.
+  /// Native-backend compile/cache counters. A warm re-serve of the
+  /// same library shows cache_hits growing while compiles stays put.
   exec::ExecStats exec_stats() const { return exec_cache_.stats(); }
 
   /// The registry the serving counters and the per-outcome dispatch
@@ -303,65 +270,60 @@ class LibraryRuntime {
   /// thread makes after a hot reload (or against a new runtime) takes
   /// the slow path. The returned reference is stable until this thread
   /// calls pinned() again — callers must finish one request per call,
-  /// which run()/serve()/serve_batch() do.
+  /// which run()/run_batched() do.
   const std::shared_ptr<const DispatchSnapshot>& pinned() const;
 
   /// Lookup against a pinned snapshot (no refcount traffic).
   Dispatch dispatch_on(const DispatchSnapshot& snap,
                        const blas3::Variant& v, int64_t n) const;
 
-  /// The serving tail shared by run(), serve() and batch leaders:
-  /// execute the dispatched kernel, walk the fallback chain, settle
-  /// counters and the latency histogram of the final outcome.
-  /// `start_us` is when the request entered the runtime (queue wait
-  /// counts toward its latency). `pre_executed` marks a request whose
-  /// tuned kernel a batch leader already ran natively (serve_batch's
-  /// single executor loop): the tuned stage only settles counters.
+  /// The serving tail shared by run() and run_batched(): run the
+  /// dispatched program, walk the fallback chain (baseline program,
+  /// then CPU reference), settle counters and the latency histogram of
+  /// the final outcome. `execute(program, bool_params)` runs one
+  /// program on the call's operands; `reference()` answers the call on
+  /// the CPU. `start_us` is when the request entered the runtime.
+  template <typename Execute, typename Reference>
   StatusOr<DispatchOutcome> serve_with(const DispatchSnapshot& snap,
                                        const Dispatch& d,
                                        const blas3::Variant& v,
-                                       const blas3::Matrix& a,
-                                       blas3::Matrix& b, blas3::Matrix* c,
                                        double start_us,
-                                       bool pre_executed = false) const;
+                                       const Execute& execute,
+                                       const Reference& reference) const;
 
-  /// Native-first execution of a dispatched program under
-  /// ExecutionMode::kNative (counts native_serves / native_fallbacks),
-  /// plain interpreter execution otherwise.
-  Status execute_dispatched(const ir::Program& program,
-                            const blas3::Variant& v, const blas3::Matrix& a,
-                            blas3::Matrix& b, blas3::Matrix* c,
-                            const std::map<std::string, bool>& bool_params)
-      const;
+  /// Native-first execution bookkeeping: counts `native` as a native
+  /// serve when it succeeded; otherwise counts and logs a native
+  /// fallback and returns `retry()` — the interpreter run of the same
+  /// program (a failed native attempt never writes the outputs).
+  template <typename Retry>
+  Status native_first(const Status& native, const blas3::Variant& v,
+                      const Retry& retry) const;
 
-  /// Batched counterpart of execute_dispatched: fused native path
-  /// first under kNative, interpreter loop-of-members otherwise or on
-  /// native failure.
-  Status execute_batched_dispatched(
-      const ir::Program& program, const blas3::Variant& v,
-      const std::vector<blas3::Matrix>& a, std::vector<blas3::Matrix>& b,
-      std::vector<blas3::Matrix>* c,
-      const std::map<std::string, bool>& bool_params) const;
-
-  /// ExecutionMode::kNative: compile + JIT every kernel of every
-  /// snapshot entry into the exec cache so the first request after a
-  /// (re)load doesn't pay compile latency.
+  /// Compile + JIT every kernel of every snapshot entry into the exec
+  /// cache so the first request after a (re)load doesn't pay compile
+  /// latency.
   void prewarm(const DispatchSnapshot& snap) const;
-
-  /// BatchQueue callback: serve one coalesced batch with a single
-  /// dispatch lookup.
-  void serve_batch(uint64_t key,
-                   const std::vector<BatchQueue::Request*>& batch) const;
 
   /// Counter/histogram bookkeeping shared by every entry point.
   void count_request(const blas3::Variant& v) const;
 
+  /// serve()/serve_batched(): admission control around `serve_call()`
+  /// (run() or run_batched()). A refused request counts as shed and
+  /// returns kShed; an admitted one counts toward the in-flight depth
+  /// while it is served.
+  template <typename ServeCall>
+  StatusOr<DispatchOutcome> admitted(const blas3::Variant& v,
+                                     const ServeCall& serve_call) const;
+
+  /// Counts a request rejected before dispatch as failed.
+  Status reject(const Status& status, double start_us) const;
+
   gpusim::Simulator sim_;
   RuntimeOptions options_;
 
-  /// Process-lifetime cache of lowered/JIT'd kernels (kNative). Shared
-  /// across snapshots: hot reloads of an unchanged entry hit the cache
-  /// because keys are content-addressed.
+  /// Bounded (LRU) cache of lowered/JIT'd kernels. Shared across
+  /// snapshots: hot reloads of an unchanged entry hit the cache because
+  /// keys are content-addressed.
   mutable exec::ExecCache exec_cache_;
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
@@ -383,8 +345,6 @@ class LibraryRuntime {
     obs::Counter* native_serves;
     obs::Counter* native_fallbacks;
     obs::Counter* reloads;
-    obs::Counter* batches;
-    obs::Counter* coalesced;
     obs::Counter* batched_requests;
     obs::Counter* batched_members;
     /// Per-family request counters ("runtime.requests.family.<KEY>"),
@@ -399,9 +359,6 @@ class LibraryRuntime {
     obs::Histogram* failed_us;
     obs::Histogram* serve_us;       // all outcomes; admission reads it
     obs::Histogram* reload_us;      // snapshot build + publish time
-    obs::Histogram* batch_size;
-    obs::Histogram* queue_wait_us;  // submit -> batch-serve delay
-    obs::Histogram* batch_exec_us;  // leader's native batch-execution loop
   };
   Instruments ins_;
 
@@ -420,7 +377,6 @@ class LibraryRuntime {
   mutable std::mutex swap_mu_;
 
   /// serve() machinery; mutable because serving is logically const.
-  mutable std::unique_ptr<BatchQueue> queue_;
   mutable std::unique_ptr<AdmissionController> admission_;
   mutable std::atomic<size_t> in_flight_{0};
 };

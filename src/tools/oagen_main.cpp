@@ -122,11 +122,7 @@ int usage() {
       "  --serve-slo-us N                    self-check serve(): p99 "
       "latency SLO in us (0 = no shedding)\n"
       "  --serve-max-depth N                 self-check serve(): hard "
-      "in-flight bound (0 = unbounded)\n"
-      "  --serve-max-batch N                 self-check serve(): largest "
-      "coalesced batch (default 16)\n"
-      "  --serve-no-coalesce                 self-check serve(): disable "
-      "request coalescing\n");
+      "in-flight bound (0 = unbounded)\n");
   return 2;
 }
 
@@ -135,19 +131,17 @@ int usage() {
 struct ServeFlags {
   int64_t slo_p99_us = 0;      // --serve-slo-us (0 = no SLO shedding)
   int64_t max_depth = 0;       // --serve-max-depth (0 = unbounded)
-  int64_t max_batch = 16;      // --serve-max-batch
-  bool coalesce = true;        // --serve-no-coalesce clears
 };
 
 /// Serve every artifact entry through a LibraryRuntime sharing the
 /// process-wide registry, so a `--metrics-out` export also carries the
 /// serving-side counters and per-outcome dispatch-latency histograms.
 /// Runs only for `--metrics-out` (it exists to populate the serving
-/// metrics; `--trace-out` alone adds no extra work). Sizes are
-/// bounded: serving is functional (interpreter-priced), so the check
-/// stays cheap even for a full 48-routine artifact. Requests go
-/// through serve() — the coalescing + admission production path — so
-/// the export reflects the deployed configuration (docs/SERVING.md).
+/// metrics; `--trace-out` alone adds no extra work). Sizes are bounded
+/// so the check stays cheap even for a full library artifact.
+/// Requests go through serve() — admission control plus native
+/// execution, the production path — so the export reflects the
+/// deployed configuration (docs/SERVING.md).
 void serving_self_check(const gpusim::DeviceModel& device,
                         libgen::Artifact artifact,
                         const ServeFlags& serve_flags) {
@@ -155,8 +149,6 @@ void serving_self_check(const gpusim::DeviceModel& device,
   ropt.metrics = &obs::MetricsRegistry::global();
   ropt.slo_p99_us = static_cast<double>(serve_flags.slo_p99_us);
   ropt.max_queue_depth = static_cast<size_t>(serve_flags.max_depth);
-  ropt.max_batch = static_cast<size_t>(serve_flags.max_batch);
-  ropt.coalesce = serve_flags.coalesce;
   runtime::LibraryRuntime rt(device, std::move(artifact), ropt);
   for (const libgen::ArtifactEntry& entry :
        rt.snapshot()->artifact().entries) {
@@ -313,10 +305,6 @@ int main(int argc, char** argv) {
       if (!next_int(0, &serve_flags.slo_p99_us)) return usage();
     } else if (arg == "--serve-max-depth") {
       if (!next_int(0, &serve_flags.max_depth)) return usage();
-    } else if (arg == "--serve-max-batch") {
-      if (!next_int(1, &serve_flags.max_batch)) return usage();
-    } else if (arg == "--serve-no-coalesce") {
-      serve_flags.coalesce = false;
     } else {
       std::fprintf(stderr, "oagen: unknown flag '%s'\n", arg.c_str());
       return usage();

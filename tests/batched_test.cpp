@@ -256,9 +256,7 @@ const libgen::Artifact& mixed_artifact() {
 }
 
 TEST(BatchedServing, FourThreadHammerAcrossHotReloadZeroDrops) {
-  runtime::RuntimeOptions opt;
-  opt.execution = runtime::ExecutionMode::kNative;
-  runtime::LibraryRuntime rt(gpusim::gtx285(), mixed_artifact(), opt);
+  runtime::LibraryRuntime rt(gpusim::gtx285(), mixed_artifact());
   ASSERT_EQ(rt.table_size(), 2u);
 
   const Variant& single = *blas3::find_variant("GEMM-NN");

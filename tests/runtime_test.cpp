@@ -216,6 +216,51 @@ TEST(LibraryRuntime, FailedRequestIsNotReportedAsRecovered) {
       rt.metrics().histogram("runtime.dispatch_us.failed").count(), 1u);
 }
 
+TEST(LibraryRuntime, RejectsInconsistentOperands) {
+  // GEMM-NN with A 4x4096 but B 4x4: A says K = 4096, B says K = 4. An
+  // empty artifact sends the call down the fallback chain, which must
+  // refuse it rather than answer from zero-padded staging (baseline) or
+  // out-of-bounds reads (reference).
+  const Variant& gemm = *blas3::find_variant("GEMM-NN");
+  for (bool baseline : {true, false}) {
+    runtime::RuntimeOptions options;
+    options.baseline_fallback = baseline;
+    LibraryRuntime rt(gpusim::gtx285(), Artifact{}, options);
+    Rng rng(0x4096);
+    blas3::Matrix a(4, 4096), b(4, 4), c(4, 4);
+    a.fill_random(rng);
+    b.fill_random(rng);
+    for (bool serve : {false, true}) {
+      auto outcome =
+          serve ? rt.serve(gemm, a, b, &c) : rt.run(gemm, a, b, &c);
+      ASSERT_FALSE(outcome.is_ok()) << runtime::outcome_name(*outcome);
+      EXPECT_EQ(outcome.status().code(), ErrorCode::kInvalidArgument);
+    }
+    EXPECT_EQ(blas3::max_abs_diff(c, blas3::Matrix(4, 4)), 0.0)
+        << "a rejected call must not write its output";
+    const runtime::DispatchStats stats = rt.stats();
+    EXPECT_EQ(stats.requests, 2u);
+    EXPECT_EQ(stats.failed_requests, 2u);
+    EXPECT_EQ(
+        rt.metrics().histogram("runtime.dispatch_us.failed").count(), 2u);
+  }
+
+  // One inconsistent member rejects the whole batched call.
+  const Variant& batched = *blas3::find_variant("GEMM_BATCHED-NN");
+  LibraryRuntime rt(gpusim::gtx285(), Artifact{});
+  std::vector<blas3::Matrix> a(3, blas3::Matrix(8, 8));
+  std::vector<blas3::Matrix> b(3, blas3::Matrix(8, 8));
+  std::vector<blas3::Matrix> c(3, blas3::Matrix(8, 8));
+  b[1] = blas3::Matrix(8, 9);  // N = 9 for B, 8 for C
+  auto direct = rt.run_batched(batched, a, b, &c);
+  ASSERT_FALSE(direct.is_ok());
+  EXPECT_EQ(direct.status().code(), ErrorCode::kInvalidArgument);
+  auto served = rt.serve_batched(batched, a, b, &c);
+  ASSERT_FALSE(served.is_ok());
+  EXPECT_EQ(served.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(rt.stats().failed_requests, 2u);
+}
+
 TEST(LibraryRuntime, MissFallsBackToTheBaselineCorrectly) {
   LibraryRuntime rt(gpusim::gtx285(), gemm_artifact());
   // Routines the artifact does not cover.

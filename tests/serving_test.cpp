@@ -1,6 +1,8 @@
 // Serving-path tests: hot reload (swap_artifact) under concurrent
-// load, request coalescing, admission control / load shedding, and the
-// shed-accounting invariant documented in DispatchStats.
+// load, admission control / load shedding, the shed-accounting
+// invariant documented in DispatchStats, and native execution (the
+// interpreter oracle, the interpreter fallback, the bounded exec
+// cache).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,10 +10,12 @@
 #include <thread>
 #include <vector>
 
+#include "blas3/reference.hpp"
+#include "engine/evaluation_engine.hpp"
+#include "epod/script.hpp"
 #include "libgen/artifact.hpp"
 #include "oa/oa.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/batch_queue.hpp"
 #include "runtime/library_runtime.hpp"
 #include "support/rng.hpp"
 
@@ -21,7 +25,6 @@ namespace {
 using blas3::Variant;
 using libgen::Artifact;
 using runtime::AdmissionController;
-using runtime::BatchQueue;
 using runtime::DispatchOutcome;
 using runtime::LibraryRuntime;
 
@@ -54,6 +57,10 @@ Artifact three_bucket_artifact() {
   artifact.entries.push_back(hi);
   return artifact;
 }
+
+/// A request long enough (~2 s natively on a 4-thread host) to still be
+/// in flight when another thread reacts to it.
+constexpr int64_t kLongRequestN = 1024;
 
 void make_inputs(int64_t n, uint64_t seed, blas3::Matrix& a,
                  blas3::Matrix& b, blas3::Matrix& c) {
@@ -174,83 +181,6 @@ TEST(SwapArtifact, SwapUnderLoadDropsNoRequests) {
   EXPECT_EQ(stats.shed, 0u);  // run() never sheds
 }
 
-// --- coalescing ------------------------------------------------------
-
-TEST(BatchQueue, LeaderServesTheWholeBatch) {
-  const Variant& gemm = *blas3::find_variant("GEMM-NN");
-  std::atomic<int> batches{0};
-  std::atomic<size_t> largest{0};
-  BatchQueue::Options opt;
-  opt.max_batch = 3;
-  opt.window_us = 2e6;  // a full batch closes the window early
-  BatchQueue queue(
-      [&](uint64_t key, const std::vector<BatchQueue::Request*>& batch) {
-        EXPECT_EQ(key, 42u);
-        batches.fetch_add(1);
-        size_t prev = largest.load();
-        while (batch.size() > prev &&
-               !largest.compare_exchange_weak(prev, batch.size())) {
-        }
-        for (BatchQueue::Request* r : batch) {
-          r->result = DispatchOutcome::kHit;
-        }
-      },
-      opt);
-
-  std::vector<std::thread> threads;
-  std::atomic<int> served{0};
-  for (int t = 0; t < 3; ++t) {
-    threads.emplace_back([&, t] {
-      blas3::Matrix a, b, c;
-      make_inputs(16, static_cast<uint64_t>(t), a, b, c);
-      auto outcome = queue.submit(42, gemm, a, b, &c);
-      ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
-      EXPECT_EQ(*outcome, DispatchOutcome::kHit);
-      served.fetch_add(1);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_EQ(served.load(), 3);
-  // All three submitted the same key within the 2s window, so they
-  // coalesce: fewer batches than requests.
-  EXPECT_LT(batches.load(), 3);
-  EXPECT_GT(largest.load(), 1u);
-}
-
-TEST(Serve, CoalescesConcurrentSameKeyRequests) {
-  runtime::RuntimeOptions ropt;
-  ropt.coalesce = true;
-  ropt.max_batch = 4;
-  ropt.batch_window_us = 2e6;
-  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact(), ropt);
-  const Variant& gemm = *blas3::find_variant("GEMM-NN");
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      blas3::Matrix a, b, c;
-      make_inputs(256, 0xBA7C4 + static_cast<uint64_t>(t), a, b, c);
-      auto outcome = rt.serve(gemm, a, b, &c);
-      ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
-      EXPECT_EQ(*outcome, DispatchOutcome::kHit);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  runtime::DispatchStats stats = rt.stats();
-  EXPECT_EQ(stats.requests, 4u);
-  EXPECT_EQ(stats.hits, 4u);
-  // However the 4 requests split into batches, batches + riders == 4,
-  // and at least two requests must have shared a batch.
-  EXPECT_EQ(stats.batches + stats.coalesced, 4u);
-  EXPECT_LT(stats.batches, 4u);
-  EXPECT_GE(stats.coalesced, 1u);
-  EXPECT_GE(rt.metrics().histogram("runtime.batch_size").count(),
-            stats.batches);
-  EXPECT_EQ(rt.metrics().histogram("runtime.queue_wait_us").count(), 4u);
-}
-
 // --- admission control / shedding ------------------------------------
 
 TEST(AdmissionController, DepthBoundIsHard) {
@@ -293,30 +223,27 @@ TEST(AdmissionController, SloShedsOnRecentTrafficOnly) {
 }
 
 TEST(Serve, ShedsDeterministicallyWhenQueueIsFull) {
-  // One lingering leader occupies the queue (depth 1); with
+  // One long native request occupies the only slot (depth 1); with
   // max_queue_depth = 1 the next serve() must shed, and the shed is
   // accounted exactly once.
   runtime::RuntimeOptions ropt;
-  ropt.coalesce = true;
-  ropt.max_batch = 8;                // never fills with one request
-  ropt.batch_window_us = 300000.0;   // leader lingers 300ms
   ropt.max_queue_depth = 1;
   LibraryRuntime rt(gpusim::gtx285(), gemm_artifact(), ropt);
   const Variant& gemm = *blas3::find_variant("GEMM-NN");
 
-  std::atomic<bool> leader_ok{false};
-  std::thread leader([&] {
+  std::atomic<bool> long_ok{false};
+  std::thread long_request([&] {
     blas3::Matrix a, b, c;
-    make_inputs(256, 0x1EAD, a, b, c);
+    make_inputs(kLongRequestN, 0x1EAD, a, b, c);
     auto outcome = rt.serve(gemm, a, b, &c);
-    leader_ok = outcome.is_ok() && *outcome == DispatchOutcome::kHit;
+    long_ok = outcome.is_ok() && *outcome == DispatchOutcome::kNearHit;
   });
 
-  // Wait until the leader is actually in flight before submitting.
+  // The raw entry counter is bumped after admission, so once it reads
+  // 1 the long request holds the slot until its kernel finishes.
   while (rt.metrics().counter_value("runtime.requests") == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
   blas3::Matrix a, b, c;
   make_inputs(256, 0x5EED, a, b, c);
@@ -324,12 +251,12 @@ TEST(Serve, ShedsDeterministicallyWhenQueueIsFull) {
   ASSERT_TRUE(shed.is_ok()) << shed.status().to_string();
   EXPECT_EQ(*shed, DispatchOutcome::kShed);
 
-  leader.join();
-  EXPECT_TRUE(leader_ok.load());
+  long_request.join();
+  EXPECT_TRUE(long_ok.load());
 
   runtime::DispatchStats stats = rt.stats();
   EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.near_hits, 1u);
   EXPECT_EQ(stats.shed, 1u);
   EXPECT_EQ(stats.requests,
             stats.hits + stats.near_hits + stats.baseline_fallbacks +
@@ -340,92 +267,159 @@ TEST(Serve, ShedsDeterministicallyWhenQueueIsFull) {
       rt.metrics().histogram("runtime.dispatch_us.shed").count(), 1u);
 }
 
-// --- native execution mode ------------------------------------------
+TEST(Serve, UncoalescedServeMatchesRunSemantics) {
+  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact());
+  const Variant& gemm = *blas3::find_variant("GEMM-NN");
+  blas3::Matrix a, b, c;
+  make_inputs(256, 0xD12EC7, a, b, c);
+  blas3::Matrix c_run = c;
+  auto outcome = rt.serve(gemm, a, b, &c);
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  EXPECT_EQ(*outcome, DispatchOutcome::kHit);
+  auto direct = rt.run(gemm, a, b, &c_run);
+  ASSERT_TRUE(direct.is_ok()) << direct.status().to_string();
+  EXPECT_EQ(*direct, DispatchOutcome::kHit);
+  EXPECT_EQ(blas3::max_abs_diff(c, c_run), 0.0);
+  runtime::DispatchStats stats = rt.stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.native_serves, 2u);
+}
+
+// --- native execution --------------------------------------------------
 
 TEST(NativeServing, ServesComputedResultsBitEqualToInterpreter) {
   const Variant& gemm = *blas3::find_variant("GEMM-NN");
   blas3::Matrix a, b, c;
   make_inputs(256, 0xBEEF, a, b, c);
 
-  runtime::RuntimeOptions interp_opt;
-  LibraryRuntime interp_rt(gpusim::gtx285(), gemm_artifact(), interp_opt);
-  blas3::Matrix c_interp = c;
-  auto o1 = interp_rt.run(gemm, a, b, &c_interp);
-  ASSERT_TRUE(o1.is_ok()) << o1.status().to_string();
-  ASSERT_EQ(*o1, DispatchOutcome::kHit);
+  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact());
+  blas3::Matrix c_served = c;
+  auto outcome = rt.run(gemm, a, b, &c_served);
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  ASSERT_EQ(*outcome, DispatchOutcome::kHit);
 
-  runtime::RuntimeOptions native_opt;
-  native_opt.execution = runtime::ExecutionMode::kNative;
-  LibraryRuntime native_rt(gpusim::gtx285(), gemm_artifact(), native_opt);
-  blas3::Matrix c_native = c;
-  auto o2 = native_rt.run(gemm, a, b, &c_native);
-  ASSERT_TRUE(o2.is_ok()) << o2.status().to_string();
-  EXPECT_EQ(*o2, DispatchOutcome::kHit);
+  // The interpreter oracle on the program the runtime dispatched to.
+  const LibraryRuntime::Dispatch d = rt.dispatch(gemm, 256);
+  ASSERT_NE(d.program, nullptr);
+  const gpusim::Simulator sim(gpusim::gtx285());
+  blas3::Matrix c_interp = c;
+  Status interp = engine::execute_program(sim, *d.program, gemm, a, b,
+                                          &c_interp, *d.bool_params);
+  ASSERT_TRUE(interp.is_ok()) << interp.to_string();
 
   // The native backend serves the same bits the interpreter computes
   // (lane-major vs lockstep changes nothing for race-free kernels).
-  EXPECT_EQ(blas3::max_abs_diff(c_interp, c_native), 0.0);
-  const auto stats = native_rt.stats();
+  EXPECT_EQ(blas3::max_abs_diff(c_interp, c_served), 0.0);
+  const auto stats = rt.stats();
   EXPECT_EQ(stats.native_serves, 1u);
   EXPECT_EQ(stats.native_fallbacks, 0u);
   // The constructor pre-warmed the cache at tuned_size, so the serve
   // itself (same size) compiled nothing.
-  const exec::ExecStats xs = native_rt.exec_stats();
+  const exec::ExecStats xs = rt.exec_stats();
   EXPECT_GT(xs.compiles, 0);
   EXPECT_GT(xs.cache_hits, 0);
 }
 
-TEST(NativeServing, BatchLeaderExecutesMembersInOneLoop) {
-  runtime::RuntimeOptions opt;
-  opt.execution = runtime::ExecutionMode::kNative;
-  opt.coalesce = true;
-  opt.max_batch = 8;
-  opt.batch_window_us = 2000.0;
-  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact(), opt);
-  const Variant& gemm = *blas3::find_variant("GEMM-NN");
-
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  std::atomic<int> ok{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      blas3::Matrix a, b, c;
-      make_inputs(256, 0x1234 + static_cast<uint64_t>(t), a, b, c);
-      auto outcome = rt.serve(gemm, a, b, &c);
-      if (outcome.is_ok() && *outcome == DispatchOutcome::kHit) {
-        ok.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(ok.load(), kThreads);
-
-  const auto stats = rt.stats();
-  EXPECT_EQ(stats.native_serves, static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(stats.native_fallbacks, 0u);
-  // Every batch leader recorded its single executor invocation loop.
-  EXPECT_GE(rt.metrics().histogram("runtime.batch_exec_us").count(),
-            stats.batches);
-  // One cached kernel served every member: compiles stayed at the
-  // pre-warm level while every serve hit.
-  const exec::ExecStats xs = rt.exec_stats();
-  EXPECT_GT(xs.cache_hits, 0);
+/// A one-entry TRMM-LL-N library whose kernel the native backend
+/// refuses: SM_alloc stages B inside the trapezoid loop *before*
+/// binding_triangular guards that loop with threadIdx == 0, so the
+/// staging barriers sit under a threadIdx-dependent branch — lowering's
+/// precondition rejects that statically. With 1x1-thread blocks every
+/// lane takes the branch, so the lockstep interpreter runs the kernel
+/// and computes the right answer.
+Artifact unlowerable_trmm_artifact() {
+  Artifact artifact;
+  artifact.device = gpusim::gtx285().name;
+  artifact.device_fp = libgen::device_fingerprint(gpusim::gtx285());
+  libgen::ArtifactEntry e;
+  e.variant = "TRMM-LL-N";
+  auto script = epod::parse_script(
+      "//! routine: TRMM-LL-N\n"
+      "(Lii, Ljj) = thread_grouping(Li, Lj);\n"
+      "(Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);\n"
+      "peel_triangular(A);\n"
+      "SM_alloc(B, Transpose);\n"
+      "binding_triangular(A, 0);\n");
+  EXPECT_TRUE(script.is_ok()) << script.status().to_string();
+  e.script = *script;
+  e.params.block_tile_y = e.params.block_tile_x = 16;
+  e.params.threads_y = e.params.threads_x = 1;
+  e.params.k_tile = 16;
+  e.params.unroll = 1;
+  e.applied_mask = 0x1f;  // all five components apply
+  e.candidate_fingerprint = e.candidate().fingerprint();
+  e.tuned_size = 64;
+  e.gflops = 1.0;
+  artifact.entries.push_back(e);
+  return artifact;
 }
 
-TEST(Serve, UncoalescedServeMatchesRunSemantics) {
-  runtime::RuntimeOptions ropt;
-  ropt.coalesce = false;
-  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact(), ropt);
-  const Variant& gemm = *blas3::find_variant("GEMM-NN");
-  blas3::Matrix a, b, c;
-  make_inputs(256, 0xD12EC7, a, b, c);
-  auto outcome = rt.serve(gemm, a, b, &c);
+TEST(NativeServing, UnlowerableKernelFallsBackToTheInterpreter) {
+  LibraryRuntime rt(gpusim::gtx285(), unlowerable_trmm_artifact());
+  ASSERT_TRUE(rt.load_status().is_ok()) << rt.load_status().to_string();
+  ASSERT_EQ(rt.table_size(), 1u);
+  // The prewarm already met (and negatively cached) the refusal.
+  EXPECT_EQ(rt.exec_stats().failed_lowerings, 1);
+
+  const Variant& trmm = *blas3::find_variant("TRMM-LL-N");
+  constexpr int64_t n = 64;
+  Rng rng(0x7A11);
+  blas3::Matrix a(n, n), b(n, n), c(n, n);
+  a.fill_random(rng);
+  b.fill_random(rng);
+  a.make_triangular(trmm.uplo);
+  blas3::Matrix ref_b = b, ref_c = c;
+  blas3::run_reference(trmm, a, ref_b, &ref_c);
+
+  auto outcome = rt.serve(trmm, a, b, &c);
   ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
   EXPECT_EQ(*outcome, DispatchOutcome::kHit);
-  runtime::DispatchStats stats = rt.stats();
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.batches, 0u);
-  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_LE(blas3::max_abs_diff(c, ref_c),
+            blas3::accumulation_tolerance(n));
+
+  const runtime::DispatchStats stats = rt.stats();
+  EXPECT_EQ(stats.native_serves, 0u);
+  EXPECT_EQ(stats.native_fallbacks, 1u);
+  EXPECT_EQ(stats.failed_requests, 0u);
+  EXPECT_EQ(rt.metrics().counter_value("runtime.native_fallbacks"), 1u);
+}
+
+TEST(NativeServing, ExecCacheStaysBoundedAcrossCallShapes) {
+  // Kernels are specialised to the call's M/N/K, so every distinct call
+  // shape compiles a kernel of its own. Serve more shapes than the
+  // cache holds: the cache evicts instead of growing, and every answer
+  // stays correct.
+  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact());
+  const Variant& gemm = *blas3::find_variant("GEMM-NN");
+  const size_t bound = exec::ExecCache::kCapacity;
+  size_t shapes = 0;
+  int wrong = 0;
+  Rng rng(0xCAC4E);
+  for (int64_t m = 1; shapes <= bound; ++m) {
+    for (int64_t n = 1; n <= 10; ++n) {
+      for (int64_t k = 1; k <= 10; ++k) {
+        blas3::Matrix a(m, k), b(k, n), c(m, n);
+        a.fill_random(rng);
+        b.fill_random(rng);
+        blas3::Matrix ref_b = b, ref_c = c;
+        blas3::run_reference(gemm, a, ref_b, &ref_c);
+        auto outcome = rt.run(gemm, a, b, &c);
+        if (!outcome.is_ok() ||
+            blas3::max_abs_diff(c, ref_c) >
+                blas3::accumulation_tolerance(k)) {
+          ++wrong;
+        }
+        ++shapes;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0);
+  const exec::ExecStats xs = rt.exec_stats();
+  EXPECT_GE(xs.compiles, static_cast<int64_t>(shapes));
+  EXPECT_LE(xs.entries, static_cast<int64_t>(bound));
+  EXPECT_GT(xs.evictions, 0);
+  EXPECT_EQ(rt.stats().native_fallbacks, 0u);
 }
 
 }  // namespace
