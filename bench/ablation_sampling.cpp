@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "blas3/call_shape.hpp"
 #include "blas3/source_ir.hpp"
 #include "epod/script.hpp"
 #include "support/strings.hpp"
@@ -53,9 +54,7 @@ int main(int argc, char** argv) {
     if (!epod::apply_script_lenient(p, *script, ctx).is_ok()) return 1;
 
     gpusim::RunOptions opts;
-    opts.int_params = v.family == blas3::Family::kGemm
-                          ? ir::Env{{"M", n}, {"N", n}, {"K", n}}
-                          : ir::Env{{"M", n}, {"N", n}};
+    opts.int_params = blas3::CallShape::square(v, n).env();
     opts.warps_per_block_sample = 0;  // isolate the class-sampling effect
 
     opts.max_sampled_classes = 1 << 20;

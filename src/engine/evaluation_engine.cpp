@@ -3,6 +3,7 @@
 #include <optional>
 #include <utility>
 
+#include "blas3/call_shape.hpp"
 #include "blas3/reference.hpp"
 #include "blas3/source_ir.hpp"
 #include "epod/script.hpp"
@@ -28,20 +29,7 @@ constexpr const char* kSimulateByVariantPrefix =
 }  // namespace
 
 ir::Env size_env(const Variant& v, int64_t n) {
-  ir::Env env;
-  if (v.family == blas3::Family::kGemm ||
-      v.family == blas3::Family::kSyrk) {
-    env = {{"M", n}, {"N", n}, {"K", n}};
-  } else {
-    env = {{"M", n}, {"N", n}};
-  }
-  if (v.batch != blas3::Batch::kSingle) {
-    // The batch count rides in the size environment so the simulator's
-    // batched pricing (RunOptions int param "BATCH") sees it; it is not
-    // a program int param and never reaches kernel bounds.
-    env["BATCH"] = blas3::tuning_batch(v);
-  }
-  return env;
+  return blas3::CallShape::square(v, n).env();
 }
 
 std::map<std::string, bool> bools_for(const Candidate& c) {
@@ -53,6 +41,30 @@ std::map<std::string, bool> bools_for(const Candidate& c) {
   }
   return out;
 }
+
+namespace {
+
+/// One member of a validated call through the interpreter at `shape`.
+Status interpret(const gpusim::Simulator& sim, const ir::Program& program,
+                 const blas3::CallShape& shape, const blas3::Matrix& a,
+                 blas3::Matrix& b, blas3::Matrix* c,
+                 const std::map<std::string, bool>& bool_params) {
+  gpusim::RunOptions opts;
+  opts.int_params = shape.env();
+  opts.bool_params = bool_params;
+  blas3::Matrix& out = shape.output_of(b, c);
+  // Reject a retargeted output shape before paying for the functional
+  // run — read_back would refuse the result anyway.
+  OA_RETURN_IF_ERROR(gpusim::check_read_back_shape(
+      program, opts.int_params, shape.output(), out));
+  gpusim::GlobalBuffers buffers = gpusim::make_buffers(
+      program, opts.int_params, {{"A", &a}, {"B", &b}, {"C", c}});
+  OA_RETURN_IF_ERROR(sim.run_functional(program, opts, buffers).status());
+  return gpusim::read_back(buffers, program, opts.int_params,
+                           shape.output(), out);
+}
+
+}  // namespace
 
 Status verify_program(const gpusim::Simulator& sim, const Variant& variant,
                       const ir::Program& program, int64_t n,
@@ -73,24 +85,14 @@ Status verify_program(const gpusim::Simulator& sim, const Variant& variant,
     a.scale_off_diagonal(1.0f / 16.0f);
   }
 
-  RunOptions opts;
-  opts.int_params = size_env(variant, n);
-  opts.bool_params = bool_params;
-  gpusim::GlobalBuffers buffers = gpusim::make_buffers(
-      program, opts.int_params, {{"A", &a}, {"B", &b}, {"C", &c}});
-  auto run = sim.run_functional(program, opts, buffers);
-  OA_RETURN_IF_ERROR(run.status());
-
   blas3::Matrix ref_b = b;
   blas3::Matrix ref_c = c;
-  blas3::run_reference(variant, a, ref_b, &ref_c);
-  const char* out_name = blas3::output_array(variant);
-  blas3::Matrix out(n, n, p);
+  const blas3::CallShape shape = blas3::CallShape::square(variant, n);
   OA_RETURN_IF_ERROR(
-      gpusim::read_back(buffers, program, opts.int_params, out_name, out));
-  const blas3::Matrix& expected =
-      variant.family == blas3::Family::kTrsm ? ref_b : ref_c;
-  const double err = blas3::max_abs_diff(out, expected);
+      interpret(sim, program, shape, a, b, &c, bool_params));
+  blas3::run_reference(variant, a, ref_b, &ref_c);
+  const double err = blas3::max_abs_diff(shape.output_of(b, &c),
+                                         shape.output_of(ref_b, &ref_c));
   if (err > blas3::accumulation_tolerance(n, p)) {
     return illegal(
         str_format("functional verification failed: err=%g", err));
@@ -103,42 +105,9 @@ Status execute_program(const gpusim::Simulator& sim,
                        const blas3::Matrix& a, blas3::Matrix& b,
                        blas3::Matrix* c,
                        const std::map<std::string, bool>& bool_params) {
-  gpusim::RunOptions opts;
-  const int64_t m = b.rows();
-  const int64_t n = b.cols();
-  if (variant.family == blas3::Family::kGemm) {
-    // GEMM operand shapes depend on the transpose flags: A is MxK (or
-    // KxM), B is KxN (or NxK). Derive M/N from the flagged axes — B's
-    // rows are the reduction length for trans_b=N, not M.
-    const int64_t k =
-        variant.trans_a == blas3::Trans::kN ? a.cols() : a.rows();
-    opts.int_params = {
-        {"M", variant.trans_a == blas3::Trans::kN ? a.rows() : a.cols()},
-        {"N", variant.trans_b == blas3::Trans::kN ? b.cols() : b.rows()},
-        {"K", k}};
-  } else if (variant.family == blas3::Family::kSyrk) {
-    const int64_t k =
-        variant.trans == blas3::Trans::kN ? a.cols() : a.rows();
-    opts.int_params = {{"M", c != nullptr ? c->rows() : m},
-                       {"N", n},
-                       {"K", k}};
-  } else {
-    opts.int_params = {{"M", m}, {"N", n}};
-  }
-  opts.bool_params = bool_params;
-  const char* out_name = blas3::output_array(variant);
-  blas3::Matrix& out =
-      variant.family == blas3::Family::kTrsm ? b : *c;
-  // Reject a retargeted output shape before paying for the functional
-  // run — read_back would refuse the result anyway.
-  OA_RETURN_IF_ERROR(gpusim::check_read_back_shape(
-      program, opts.int_params, out_name, out));
-  gpusim::GlobalBuffers buffers = gpusim::make_buffers(
-      program, opts.int_params, {{"A", &a}, {"B", &b}, {"C", c}});
-  OA_RETURN_IF_ERROR(
-      sim.run_functional(program, opts, buffers).status());
-  return gpusim::read_back(buffers, program, opts.int_params, out_name,
-                           out);
+  const blas3::CallShape shape(variant, a, b, c);
+  OA_RETURN_IF_ERROR(shape.validate());
+  return interpret(sim, program, shape, a, b, c, bool_params);
 }
 
 Status execute_batched(const gpusim::Simulator& sim,
@@ -147,20 +116,16 @@ Status execute_batched(const gpusim::Simulator& sim,
                        std::vector<blas3::Matrix>& b,
                        std::vector<blas3::Matrix>* c,
                        const std::map<std::string, bool>& bool_params) {
-  if (a.size() != b.size() || (c != nullptr && c->size() != a.size())) {
-    return invalid_argument("batched operands disagree on batch count");
-  }
-  if (a.empty()) {
-    return invalid_argument("batched execution needs at least one member");
-  }
+  const blas3::CallShape shape(variant, a, b, c);
+  OA_RETURN_IF_ERROR(shape.validate());
   // Loop-of-members through the interpreter: the semantic oracle the
   // fused native batched path (exec::execute_batched) is arbitrated
   // against. batch_grouping only relabels the launch layout, so the
   // member program is the program itself.
   for (size_t i = 0; i < a.size(); ++i) {
-    OA_RETURN_IF_ERROR(execute_program(
-        sim, program, variant, a[i], b[i],
-        c != nullptr ? &(*c)[i] : nullptr, bool_params));
+    OA_RETURN_IF_ERROR(interpret(sim, program, shape, a[i], b[i],
+                                 c != nullptr ? &(*c)[i] : nullptr,
+                                 bool_params));
   }
   return Status::ok();
 }
@@ -350,7 +315,8 @@ StatusOr<Evaluation> EvaluationEngine::verify_and_simulate(
   }
 
   RunOptions opts = config.run_options;
-  opts.int_params = size_env(variant, config.target_size);
+  opts.int_params =
+      blas3::CallShape::square(variant, config.target_size).env();
   opts.bool_params = bools;
   obs::Span simulate_span(tracer_, "engine.simulate", ins_.simulate_us);
   auto perf = sim_.run_performance(program, opts);

@@ -231,10 +231,10 @@ Status verify_program(const gpusim::Simulator& sim,
                       const std::map<std::string, bool>& bool_params);
 
 /// Functional execution of any program (tuned or baseline) on real
-/// matrices, with problem sizes derived from the matrix shapes the way
-/// the routine family expects; the output is written back into `b`
-/// (TRSM) or `*c`. Shared by OaFramework::run and the serving runtime
-/// (runtime/LibraryRuntime).
+/// matrices, sized and validated by blas3::CallShape (an inconsistent
+/// call is invalid_argument and writes nothing); the output is written
+/// back into `b` (TRSM) or `*c`. Shared by OaFramework::run and the
+/// serving runtime (runtime/LibraryRuntime).
 Status execute_program(const gpusim::Simulator& sim,
                        const ir::Program& program,
                        const blas3::Variant& variant,
@@ -245,7 +245,7 @@ Status execute_program(const gpusim::Simulator& sim,
 /// Batched functional execution as a loop of members through the
 /// interpreter — the semantic oracle for the fused native batched path
 /// (exec::execute_batched). Operand vectors carry one matrix per batch
-/// member and must agree on the batch count; `c` may be null for
+/// member and must share one member shape; `c` may be null for
 /// families that update `b` in place.
 Status execute_batched(const gpusim::Simulator& sim,
                        const ir::Program& program,
@@ -259,7 +259,8 @@ Status execute_batched(const gpusim::Simulator& sim,
 /// .zero = true" -> blank_zero = true).
 std::map<std::string, bool> bools_for(const composer::Candidate& c);
 
-/// Problem-size bindings for an n x n problem of `v`'s family.
+/// Problem-size bindings for an n x n problem of `v`'s family
+/// (blas3::CallShape::square(v, n).env()).
 ir::Env size_env(const blas3::Variant& v, int64_t n);
 
 }  // namespace oa::engine

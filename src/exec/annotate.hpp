@@ -14,7 +14,8 @@ namespace oa::exec {
 
 /// Fill `artifact.entries[*].exec` by reconstructing each entry's
 /// program (libgen::reconstruct against the entry's own candidate),
-/// compiling every kernel at the entry's tuned_size, and lowering it.
+/// compiling every kernel at the entry's tuned_size, passing it through
+/// the launch gate for `device` as serving does, and lowering it.
 /// Entries whose program cannot be reconstructed or lowered get an
 /// empty sidecar — that is a property of the entry, not an error.
 Status annotate_artifact(libgen::Artifact& artifact,

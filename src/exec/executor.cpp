@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <mutex>
+#include <span>
 
-#include "blas3/source_ir.hpp"
+#include "blas3/call_shape.hpp"
 #include "exec/jit_x86.hpp"
 #include "gpusim/simulator.hpp"
 #include "support/hash.hpp"
@@ -250,9 +251,8 @@ Status exec_driver(BlockCtx& ctx, const std::vector<DriverNode>& nodes) {
   return Status::ok();
 }
 
-Status run_block(const ExecutedKernel& ek,
-                 const std::vector<double*>& global_ptrs, int64_t by,
-                 int64_t bx) {
+Status run_block(const ExecutedKernel& ek, double* const* globals,
+                 int64_t by, int64_t bx) {
   const LoweredKernel& lk = ek.lowered;
   BlockCtx ctx;
   ctx.ek = &ek;
@@ -273,7 +273,7 @@ Status run_block(const ExecutedKernel& ek,
     const gpusim::CArray& a = lk.arrays[i];
     switch (a.space) {
       case ir::MemSpace::kGlobal:
-        ctx.tab[i] = global_ptrs[i];
+        ctx.tab[i] = globals[i];
         break;
       case ir::MemSpace::kShared: {
         ctx.local_store.emplace_back(static_cast<size_t>(a.elements), 0.0);
@@ -393,23 +393,30 @@ void ExecCache::count_native_blocks(int64_t n) {
 
 // ---- Program-level execution --------------------------------------
 
-Status run_lowered(const ExecutedKernel& ek, const gpusim::DeviceModel& dev,
-                   gpusim::GlobalBuffers& buffers, ExecCache* stats) {
-  (void)dev;
+Status run_lowered(const ExecutedKernel& ek, gpusim::GlobalBuffers& buffers,
+                   int64_t count, ExecCache* stats) {
   const LoweredKernel& lk = ek.lowered;
-  std::vector<double*> global_ptrs(lk.arrays.size(), nullptr);
-  for (size_t i = 0; i < lk.arrays.size(); ++i) {
+  const size_t narrays = lk.arrays.size();
+  // Member pointer tables, built once per launch: member m's copy of a
+  // global is the m-th of `count` equal slices of its buffer.
+  std::vector<double*> tables(narrays * static_cast<size_t>(count), nullptr);
+  for (size_t i = 0; i < narrays; ++i) {
     const gpusim::CArray& a = lk.arrays[i];
     if (a.space != ir::MemSpace::kGlobal) continue;
     std::vector<double>* buf = buffers.find(a.name);
-    if (buf == nullptr ||
-        buf->size() < static_cast<size_t>(a.elements)) {
+    const size_t slice =
+        buf == nullptr ? 0 : buf->size() / static_cast<size_t>(count);
+    if (buf == nullptr || slice < static_cast<size_t>(a.elements)) {
       return internal_error("global buffer '" + a.name +
                             "' missing or undersized");
     }
-    global_ptrs[i] = buf->data();
+    for (size_t m = 0; m < static_cast<size_t>(count); ++m) {
+      tables[m * narrays + i] = buf->data() + m * slice;
+    }
   }
 
+  // Waves of independent blocks (serialized grid-Y runs one block row
+  // per wave); every member's blocks share each wave.
   const bool serial = lk.launch.serial_grid_y;
   const int64_t num_waves = serial ? lk.launch.grid_y : 1;
   const int64_t blocks_per_wave =
@@ -418,13 +425,13 @@ Status run_lowered(const ExecutedKernel& ek, const gpusim::DeviceModel& dev,
     std::mutex mu;
     Status first_error = Status::ok();
     ThreadPool::shared().parallel_for(
-        static_cast<size_t>(blocks_per_wave), [&](size_t idx) {
-          const int64_t by =
-              serial ? wave : static_cast<int64_t>(idx) / lk.launch.grid_x;
-          const int64_t bx =
-              serial ? static_cast<int64_t>(idx)
-                     : static_cast<int64_t>(idx) % lk.launch.grid_x;
-          Status s = run_block(ek, global_ptrs, by, bx);
+        static_cast<size_t>(count * blocks_per_wave), [&](size_t idx) {
+          const size_t member = idx / static_cast<size_t>(blocks_per_wave);
+          const int64_t bidx =
+              static_cast<int64_t>(idx) % blocks_per_wave;
+          const int64_t by = serial ? wave : bidx / lk.launch.grid_x;
+          const int64_t bx = serial ? bidx : bidx % lk.launch.grid_x;
+          Status s = run_block(ek, &tables[member * narrays], by, bx);
           if (!s.is_ok()) {
             std::lock_guard<std::mutex> lock(mu);
             if (first_error.is_ok()) first_error = s;
@@ -433,74 +440,58 @@ Status run_lowered(const ExecutedKernel& ek, const gpusim::DeviceModel& dev,
     OA_RETURN_IF_ERROR(first_error);
   }
   if (stats != nullptr) {
-    stats->count_native_blocks(num_waves * blocks_per_wave);
+    stats->count_native_blocks(count * num_waves * blocks_per_wave);
   }
   return Status::ok();
 }
 
 namespace {
 
-/// Size bindings — identical to engine::execute_program so results are
-/// comparable bit-for-bit.
-ir::Env routine_size_env(const blas3::Variant& variant,
-                         const blas3::Matrix& a, const blas3::Matrix& b,
-                         const blas3::Matrix* c) {
-  const int64_t m = b.rows();
-  const int64_t n = b.cols();
-  if (variant.family == blas3::Family::kGemm) {
-    // GEMM operand shapes depend on the transpose flags: A is MxK (or
-    // KxM), B is KxN (or NxK). Derive M/N from the flagged axes — B's
-    // rows are the reduction length for trans_b=N, not M.
-    const int64_t k =
-        variant.trans_a == blas3::Trans::kN ? a.cols() : a.rows();
-    return {{"M", variant.trans_a == blas3::Trans::kN ? a.rows() : a.cols()},
-            {"N", variant.trans_b == blas3::Trans::kN ? b.cols() : b.rows()},
-            {"K", k}};
-  }
-  if (variant.family == blas3::Family::kSyrk) {
-    const int64_t k =
-        variant.trans == blas3::Trans::kN ? a.cols() : a.rows();
-    return {{"M", c != nullptr ? c->rows() : m}, {"N", n}, {"K", k}};
-  }
-  return {{"M", m}, {"N", n}};
-}
-
-/// Launchability gating mirrors Simulator::run_kernel: the native
-/// backend must refuse exactly what the simulator refuses.
-StatusOr<gpusim::CompiledKernel> compile_gated(
-    const gpusim::DeviceModel& device, const ir::Program& program,
-    const ir::Kernel& kernel, const ir::Env& int_params,
-    const std::map<std::string, bool>& bool_params) {
-  OA_ASSIGN_OR_RETURN(
-      gpusim::CompiledKernel ck,
-      gpusim::compile_kernel(program, kernel, int_params, bool_params));
-  const int64_t threads = ck.launch.threads_per_block();
-  if (threads > device.max_threads_per_block) {
-    return failed_precondition(
-        str_format("%lld threads/block exceeds the device limit",
-                   static_cast<long long>(threads)));
-  }
-  const int64_t reg_budget = std::min<int64_t>(
-      124, device.registers_per_sm / std::max<int64_t>(1, threads));
-  if (device.base_regs_per_thread + ck.regs_per_thread > reg_budget) {
-    for (gpusim::CArray& arr : ck.arrays) {
-      if (arr.space == ir::MemSpace::kRegister) arr.spilled = true;
+/// Native execution of one validated call, single or batched: every
+/// global gets one allocation holding the members back to back, each
+/// member's operands are staged straight into their slice, every kernel
+/// is compiled, gated and launched once over all members, and each
+/// member's output is read straight back from its slice.
+Status run_call(const gpusim::DeviceModel& device, const ir::Program& program,
+                const blas3::CallShape& shape, std::span<blas3::Matrix> out,
+                const std::map<std::string, bool>& bool_params,
+                ExecCache& cache, const ExecOptions& options) {
+  const ir::Env int_params = shape.env();
+  const size_t count = static_cast<size_t>(shape.count());
+  // Reject a retargeted output shape before compiling or running
+  // anything — read-back would refuse the result anyway.
+  OA_RETURN_IF_ERROR(gpusim::check_read_back_shape(
+      program, int_params, shape.output(), out.front()));
+  gpusim::GlobalBuffers buffers;
+  for (const ir::ArrayDecl& d : program.globals) {
+    const size_t elems = static_cast<size_t>(d.num_elements(int_params));
+    std::vector<double>& buf =
+        buffers.data.emplace(d.name, std::vector<double>(elems * count, 0.0))
+            .first->second;
+    const std::span<const blas3::Matrix> members = shape.operand(d.name);
+    for (size_t m = 0; m < members.size(); ++m) {
+      gpusim::stage_global(d, int_params, members[m],
+                           buf.data() + m * elems);
     }
-    ck.regs_per_thread = 0;
   }
-  const int64_t regs =
-      (device.base_regs_per_thread + ck.regs_per_thread) * threads;
-  int64_t occ = device.max_blocks_per_sm;
-  if (regs > 0) occ = std::min(occ, device.registers_per_sm / regs);
-  if (ck.shared_bytes > 0) {
-    occ = std::min(occ, device.shared_mem_per_sm / ck.shared_bytes);
+
+  for (const ir::Kernel& kernel : program.kernels) {
+    OA_ASSIGN_OR_RETURN(
+        gpusim::CompiledKernel ck,
+        gpusim::compile_kernel(program, kernel, int_params, bool_params));
+    OA_RETURN_IF_ERROR(gpusim::gate_launch(device, ck).status());
+    OA_ASSIGN_OR_RETURN(std::shared_ptr<const ExecutedKernel> ek,
+                        cache.get_or_compile(ck, options));
+    OA_RETURN_IF_ERROR(run_lowered(*ek, buffers, shape.count(), &cache));
   }
-  occ = std::min<int64_t>(occ, device.max_threads_per_sm / threads);
-  if (occ <= 0) {
-    return failed_precondition("kernel '" + kernel.name +
-                               "' does not fit on an SM");
+
+  const ir::ArrayDecl& d = *program.find_global(shape.output());
+  const size_t elems = static_cast<size_t>(d.num_elements(int_params));
+  const double* src = buffers.find(shape.output())->data();
+  for (size_t m = 0; m < count; ++m) {
+    gpusim::unstage_global(d, int_params, src + m * elems, out[m]);
   }
-  return ck;
+  return Status::ok();
 }
 
 }  // namespace
@@ -512,26 +503,10 @@ Status execute_program(const gpusim::DeviceModel& device,
                        blas3::Matrix* c,
                        const std::map<std::string, bool>& bool_params,
                        ExecCache& cache, const ExecOptions& options) {
-  const ir::Env int_params = routine_size_env(variant, a, b, c);
-  const char* out_name = blas3::output_array(variant);
-  blas3::Matrix& out = variant.family == blas3::Family::kTrsm ? b : *c;
-  // Reject a retargeted output shape before compiling or running
-  // anything — read_back would refuse the result anyway.
-  OA_RETURN_IF_ERROR(
-      gpusim::check_read_back_shape(program, int_params, out_name, out));
-  gpusim::GlobalBuffers buffers = gpusim::make_buffers(
-      program, int_params, {{"A", &a}, {"B", &b}, {"C", c}});
-
-  for (const ir::Kernel& kernel : program.kernels) {
-    OA_ASSIGN_OR_RETURN(
-        gpusim::CompiledKernel ck,
-        compile_gated(device, program, kernel, int_params, bool_params));
-    OA_ASSIGN_OR_RETURN(std::shared_ptr<const ExecutedKernel> ek,
-                        cache.get_or_compile(ck, options));
-    OA_RETURN_IF_ERROR(run_lowered(*ek, device, buffers, &cache));
-  }
-
-  return gpusim::read_back(buffers, program, int_params, out_name, out);
+  const blas3::CallShape shape(variant, a, b, c);
+  OA_RETURN_IF_ERROR(shape.validate());
+  return run_call(device, program, shape, {&shape.output_of(b, c), 1},
+                  bool_params, cache, options);
 }
 
 Status execute_batched(const gpusim::DeviceModel& device,
@@ -542,136 +517,10 @@ Status execute_batched(const gpusim::DeviceModel& device,
                        std::vector<blas3::Matrix>* c,
                        const std::map<std::string, bool>& bool_params,
                        ExecCache& cache, const ExecOptions& options) {
-  if (a.size() != b.size() ||
-      (c != nullptr && c->size() != a.size())) {
-    return invalid_argument("batched operands disagree on batch count");
-  }
-  if (a.empty()) {
-    return invalid_argument("batched execution needs at least one member");
-  }
-  const int64_t count = static_cast<int64_t>(a.size());
-  for (size_t i = 1; i < a.size(); ++i) {
-    if (a[i].rows() != a[0].rows() || a[i].cols() != a[0].cols() ||
-        b[i].rows() != b[0].rows() || b[i].cols() != b[0].cols() ||
-        (c != nullptr && ((*c)[i].rows() != (*c)[0].rows() ||
-                          (*c)[i].cols() != (*c)[0].cols()))) {
-      return invalid_argument(
-          "strided-batched members must share one member shape");
-    }
-  }
-
-  const ir::Env int_params = routine_size_env(
-      variant, a[0], b[0], c != nullptr ? &(*c)[0] : nullptr);
-  OA_RETURN_IF_ERROR(gpusim::check_read_back_shape(
-      program, int_params, blas3::output_array(variant),
-      variant.family == blas3::Family::kTrsm ? b[0] : (*c)[0]));
-
-  // One strided allocation per global: member m lives at offset
-  // m * member_elems. Member data is staged through make_buffers so the
-  // leading-dimension copy rules match the single-member path exactly.
-  gpusim::GlobalBuffers big;
-  std::map<std::string, int64_t, std::less<>> member_elems;
-  for (const ir::ArrayDecl& d : program.globals) {
-    const int64_t elems = d.num_elements(int_params);
-    member_elems[d.name] = elems;
-    big.data.emplace(
-        d.name,
-        std::vector<double>(static_cast<size_t>(elems * count), 0.0));
-  }
-  for (int64_t m = 0; m < count; ++m) {
-    gpusim::GlobalBuffers one = gpusim::make_buffers(
-        program, int_params,
-        {{"A", &a[static_cast<size_t>(m)]},
-         {"B", &b[static_cast<size_t>(m)]},
-         {"C", c != nullptr ? &(*c)[static_cast<size_t>(m)] : nullptr}});
-    for (auto& [name, buf] : one.data) {
-      std::copy(buf.begin(), buf.end(),
-                big.data[name].begin() +
-                    static_cast<size_t>(m * member_elems[name]));
-    }
-  }
-
-  // Compile/gate each kernel once; the whole batch runs through that
-  // one lowered kernel with per-member buffer offsets — the fused
-  // launch the batch_tiled grouping prices.
-  for (const ir::Kernel& kernel : program.kernels) {
-    OA_ASSIGN_OR_RETURN(
-        gpusim::CompiledKernel ck,
-        compile_gated(device, program, kernel, int_params, bool_params));
-    OA_ASSIGN_OR_RETURN(std::shared_ptr<const ExecutedKernel> ek,
-                        cache.get_or_compile(ck, options));
-
-    const LoweredKernel& lk = ek->lowered;
-    std::vector<double*> base_ptrs(lk.arrays.size(), nullptr);
-    std::vector<int64_t> strides(lk.arrays.size(), 0);
-    for (size_t i = 0; i < lk.arrays.size(); ++i) {
-      const gpusim::CArray& arr = lk.arrays[i];
-      if (arr.space != ir::MemSpace::kGlobal) continue;
-      std::vector<double>* buf = big.find(arr.name);
-      const int64_t elems = member_elems[arr.name];
-      if (buf == nullptr ||
-          buf->size() < static_cast<size_t>(elems * count) ||
-          elems < arr.elements) {
-        return internal_error("global buffer '" + arr.name +
-                              "' missing or undersized");
-      }
-      base_ptrs[i] = buf->data();
-      strides[i] = elems;
-    }
-
-    const bool serial = lk.launch.serial_grid_y;
-    const int64_t num_waves = serial ? lk.launch.grid_y : 1;
-    const int64_t blocks_per_wave =
-        serial ? lk.launch.grid_x : lk.launch.num_blocks();
-    for (int64_t wave = 0; wave < num_waves; ++wave) {
-      std::mutex mu;
-      Status first_error = Status::ok();
-      ThreadPool::shared().parallel_for(
-          static_cast<size_t>(count * blocks_per_wave), [&](size_t idx) {
-            const int64_t member =
-                static_cast<int64_t>(idx) / blocks_per_wave;
-            const int64_t bidx =
-                static_cast<int64_t>(idx) % blocks_per_wave;
-            const int64_t by =
-                serial ? wave : bidx / lk.launch.grid_x;
-            const int64_t bx =
-                serial ? bidx : bidx % lk.launch.grid_x;
-            std::vector<double*> ptrs(base_ptrs.size(), nullptr);
-            for (size_t i = 0; i < base_ptrs.size(); ++i) {
-              if (base_ptrs[i] != nullptr) {
-                ptrs[i] = base_ptrs[i] + member * strides[i];
-              }
-            }
-            Status s = run_block(*ek, ptrs, by, bx);
-            if (!s.is_ok()) {
-              std::lock_guard<std::mutex> lock(mu);
-              if (first_error.is_ok()) first_error = s;
-            }
-          });
-      OA_RETURN_IF_ERROR(first_error);
-    }
-    cache.count_native_blocks(count * num_waves * blocks_per_wave);
-  }
-
-  // Read every member's output back through the single-member reader by
-  // aliasing its slice of the strided buffer.
-  const char* out_name = blas3::output_array(variant);
-  std::vector<blas3::Matrix>& out =
-      variant.family == blas3::Family::kTrsm ? b : *c;
-  const int64_t out_elems = member_elems[out_name];
-  std::vector<double>* out_buf = big.find(out_name);
-  for (int64_t m = 0; m < count; ++m) {
-    gpusim::GlobalBuffers view;
-    view.data.emplace(
-        out_name,
-        std::vector<double>(
-            out_buf->begin() + static_cast<size_t>(m * out_elems),
-            out_buf->begin() + static_cast<size_t>((m + 1) * out_elems)));
-    OA_RETURN_IF_ERROR(gpusim::read_back(view, program, int_params,
-                                         out_name,
-                                         out[static_cast<size_t>(m)]));
-  }
-  return Status::ok();
+  const blas3::CallShape shape(variant, a, b, c);
+  OA_RETURN_IF_ERROR(shape.validate());
+  return run_call(device, program, shape, shape.output_of(b, c),
+                  bool_params, cache, options);
 }
 
 }  // namespace oa::exec

@@ -101,17 +101,21 @@ class ExecCache {
   ExecStats stats_;
 };
 
-/// Execute every block of `ek` against bound global buffers — the
-/// native analogue of Simulator::run_functional for one kernel (waves
-/// of independent blocks, serialized grid-Y respected). Reports
+/// The native block loop: execute every block of `ek` for each of
+/// `count` (>= 1) batch members — the native analogue of
+/// Simulator::run_functional for one kernel. Each global buffer holds
+/// the members back to back in equal slices; one wave of blocks
+/// covers every member (serialized grid-Y respected). Reports
 /// out-of-bounds accesses with the interpreter's diagnostic format.
-Status run_lowered(const ExecutedKernel& ek, const gpusim::DeviceModel& dev,
-                   gpusim::GlobalBuffers& buffers, ExecCache* stats);
+Status run_lowered(const ExecutedKernel& ek, gpusim::GlobalBuffers& buffers,
+                   int64_t count, ExecCache* stats);
 
-/// Native counterpart of engine::execute_program: compile + lower every
-/// kernel of `program`, run all blocks natively, and read the routine's
-/// output back into `b` (TRSM) or `*c`. Sizes and buffer binding match
-/// the engine exactly, so results are comparable bit-for-bit.
+/// Native counterpart of engine::execute_program: validate the call
+/// (blas3::CallShape), compile, gate and lower every kernel of
+/// `program`, run all blocks natively, and read the routine's output
+/// back into `b` (TRSM) or `*c`. Sizes and buffer binding match the
+/// engine exactly, so results are comparable bit-for-bit. A batch of
+/// one through the same code as execute_batched.
 Status execute_program(const gpusim::DeviceModel& device,
                        const ir::Program& program,
                        const blas3::Variant& variant,
@@ -122,8 +126,9 @@ Status execute_program(const gpusim::DeviceModel& device,
 
 /// Fused native batched execution: each kernel is compiled and gated
 /// once, every global gets one strided allocation (member m at offset
-/// m * member_elems), and the whole batch's blocks run through a single
-/// parallel wave — the launch layout the batch_tiled grouping prices.
+/// m * member_elems) that each member is staged into and read back from
+/// directly, and the whole batch's blocks run through a single parallel
+/// wave — the launch layout the batch_tiled grouping prices.
 /// Semantically equivalent to calling execute_program per member
 /// (engine::execute_batched is the arbitration oracle); operand vectors
 /// carry one matrix per member and must share one member shape.

@@ -504,7 +504,7 @@ StatusOr<JitResult> jit_compile(const LoweredKernel& lk) {
   r.entries.reserve(entries.size());
   for (size_t off : entries) r.entries.push_back(buf->entry(off));
   r.buffer = std::move(buf);
-  return std::move(r);
+  return r;
 }
 
 }  // namespace oa::exec

@@ -39,16 +39,35 @@ Counters lerp(const Counters& a, const Counters& b, double t) {
 
 }  // namespace
 
-int64_t Simulator::blocks_per_sm(const CompiledKernel& k) const {
-  const int64_t threads = k.launch.threads_per_block();
-  const int64_t regs =
-      (dev_.base_regs_per_thread + k.regs_per_thread) * threads;
-  int64_t occ = dev_.max_blocks_per_sm;
-  if (regs > 0) occ = std::min(occ, dev_.registers_per_sm / regs);
-  if (k.shared_bytes > 0) {
-    occ = std::min(occ, dev_.shared_mem_per_sm / k.shared_bytes);
+StatusOr<int64_t> gate_launch(const DeviceModel& device, CompiledKernel& ck) {
+  const int64_t threads = ck.launch.threads_per_block();
+  if (threads > device.max_threads_per_block) {
+    return failed_precondition(
+        str_format("%lld threads/block exceeds the device limit",
+                   static_cast<long long>(threads)));
   }
-  occ = std::min<int64_t>(occ, dev_.max_threads_per_sm / threads);
+  // Register budget: spill register blocks that do not fit.
+  const int64_t reg_budget = std::min<int64_t>(
+      kMaxRegistersPerThread,
+      device.registers_per_sm / std::max<int64_t>(1, threads));
+  if (device.base_regs_per_thread + ck.regs_per_thread > reg_budget) {
+    for (CArray& a : ck.arrays) {
+      if (a.space == ir::MemSpace::kRegister) a.spilled = true;
+    }
+    ck.regs_per_thread = 0;
+  }
+  const int64_t regs =
+      (device.base_regs_per_thread + ck.regs_per_thread) * threads;
+  int64_t occ = device.max_blocks_per_sm;
+  if (regs > 0) occ = std::min(occ, device.registers_per_sm / regs);
+  if (ck.shared_bytes > 0) {
+    occ = std::min(occ, device.shared_mem_per_sm / ck.shared_bytes);
+  }
+  occ = std::min<int64_t>(occ, device.max_threads_per_sm / threads);
+  if (occ <= 0) {
+    return failed_precondition("kernel '" + ck.name +
+                               "' does not fit on an SM");
+  }
   return occ;
 }
 
@@ -89,26 +108,8 @@ StatusOr<KernelStats> Simulator::run_kernel(const ir::Program& program,
       CompiledKernel ck,
       compile_kernel(program, kernel, options.int_params,
                      options.bool_params));
+  OA_ASSIGN_OR_RETURN(const int64_t occ, gate_launch(dev_, ck));
   const int64_t threads = ck.launch.threads_per_block();
-  if (threads > dev_.max_threads_per_block) {
-    return failed_precondition(
-        str_format("%lld threads/block exceeds the device limit",
-                   static_cast<long long>(threads)));
-  }
-  // Register budget: spill register blocks that do not fit.
-  const int64_t reg_budget = std::min<int64_t>(
-      124, dev_.registers_per_sm / std::max<int64_t>(1, threads));
-  if (dev_.base_regs_per_thread + ck.regs_per_thread > reg_budget) {
-    for (CArray& a : ck.arrays) {
-      if (a.space == ir::MemSpace::kRegister) a.spilled = true;
-    }
-    ck.regs_per_thread = 0;
-  }
-  const int64_t occ = blocks_per_sm(ck);
-  if (occ <= 0) {
-    return failed_precondition("kernel '" + kernel.name +
-                               "' does not fit on an SM");
-  }
 
   KernelStats stats;
   stats.name = kernel.name;
@@ -381,24 +382,36 @@ StatusOr<RunResult> Simulator::run_performance(
   return result;
 }
 
+void stage_global(const ir::ArrayDecl& d, const ir::Env& int_params,
+                  const blas3::Matrix& m, double* dst) {
+  const int64_t rows = std::min(d.num_rows(int_params), m.rows());
+  const int64_t cols = std::min(d.num_cols(int_params), m.cols());
+  const int64_t ld = d.leading_dim(int_params);
+  for (int64_t c = 0; c < cols; ++c) {
+    for (int64_t r = 0; r < rows; ++r) dst[r + c * ld] = m.at(r, c);
+  }
+}
+
+void unstage_global(const ir::ArrayDecl& d, const ir::Env& int_params,
+                    const double* src, blas3::Matrix& out) {
+  const int64_t rows = d.num_rows(int_params);
+  const int64_t cols = d.num_cols(int_params);
+  const int64_t ld = d.leading_dim(int_params);
+  for (int64_t c = 0; c < cols; ++c) {
+    for (int64_t r = 0; r < rows; ++r) out.set(r, c, src[r + c * ld]);
+  }
+}
+
 GlobalBuffers make_buffers(
     const ir::Program& program, const ir::Env& int_params,
     const std::map<std::string, const blas3::Matrix*>& inputs) {
   GlobalBuffers buffers;
   for (const ir::ArrayDecl& d : program.globals) {
-    const int64_t elems = d.num_elements(int_params);
-    std::vector<double> buf(static_cast<size_t>(elems), 0.0);
+    std::vector<double> buf(
+        static_cast<size_t>(d.num_elements(int_params)), 0.0);
     auto it = inputs.find(d.name);
     if (it != inputs.end() && it->second != nullptr) {
-      const blas3::Matrix& m = *it->second;
-      const int64_t rows = std::min(d.num_rows(int_params), m.rows());
-      const int64_t cols = std::min(d.num_cols(int_params), m.cols());
-      const int64_t ld = d.leading_dim(int_params);
-      for (int64_t c = 0; c < cols; ++c) {
-        for (int64_t r = 0; r < rows; ++r) {
-          buf[static_cast<size_t>(r + c * ld)] = m.at(r, c);
-        }
-      }
+      stage_global(d, int_params, *it->second, buf.data());
     }
     buffers.data.emplace(d.name, std::move(buf));
   }
@@ -423,19 +436,12 @@ Status read_back(const GlobalBuffers& buffers, const ir::Program& program,
                  blas3::Matrix& out) {
   OA_RETURN_IF_ERROR(
       check_read_back_shape(program, int_params, name, out));
-  const ir::ArrayDecl* d = program.find_global(name);
   auto it = buffers.data.find(name);
   if (it == buffers.data.end()) {
     return not_found("no buffer for '" + name + "'");
   }
-  const int64_t rows = d->num_rows(int_params);
-  const int64_t cols = d->num_cols(int_params);
-  const int64_t ld = d->leading_dim(int_params);
-  for (int64_t c = 0; c < cols; ++c) {
-    for (int64_t r = 0; r < rows; ++r) {
-      out.set(r, c, it->second[static_cast<size_t>(r + c * ld)]);
-    }
-  }
+  unstage_global(*program.find_global(name), int_params, it->second.data(),
+                 out);
   return Status::ok();
 }
 

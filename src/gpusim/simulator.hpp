@@ -60,6 +60,19 @@ struct RunResult {
   }
 };
 
+/// Per-thread register ceiling, however few threads share the SM's
+/// register file. Not a DeviceModel field: a new field would change
+/// libgen::device_fingerprint and invalidate every generated artifact.
+inline constexpr int64_t kMaxRegistersPerThread = 124;
+
+/// The launch gate the simulator, native execution, the runtime's
+/// prewarm and the artifact's exec sidecar all pass, so they all see
+/// one kernel: rejects a block over the thread limit, spills register
+/// arrays over the per-thread register budget (the spill is part of the
+/// exec-cache key), and returns the occupancy in blocks per SM, failing
+/// when not even one block fits.
+StatusOr<int64_t> gate_launch(const DeviceModel& device, CompiledKernel& ck);
+
 class Simulator {
  public:
   explicit Simulator(const DeviceModel& device) : dev_(device) {}
@@ -84,15 +97,23 @@ class Simulator {
                                    bool functional,
                                    GlobalBuffers* buffers) const;
 
-  /// Occupancy: concurrent blocks per SM (0 = unlaunchable).
-  int64_t blocks_per_sm(const CompiledKernel& k) const;
-
   /// Convert wave counters to seconds.
   double wave_time(const Counters& c, int64_t blocks,
                    int64_t warps_per_block, int64_t occupancy) const;
 
   const DeviceModel& dev_;
 };
+
+/// Copy `m` into one member's storage of global `d` at `dst`: the
+/// overlap of `m` with the declared extent, at the declared leading
+/// dimension. make_buffers and native member slices share this rule.
+void stage_global(const ir::ArrayDecl& d, const ir::Env& int_params,
+                  const blas3::Matrix& m, double* dst);
+
+/// The reverse copy into `out`, which must already have the declared
+/// extent (check_read_back_shape).
+void unstage_global(const ir::ArrayDecl& d, const ir::Env& int_params,
+                    const double* src, blas3::Matrix& out);
 
 /// Allocate the global buffers a program needs: named inputs copied from
 /// matrices, every other global (GM_map outputs) zero-initialized.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "blas3/call_shape.hpp"
 #include "blas3/source_ir.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
@@ -249,13 +250,11 @@ StatusOr<tuner::TunedVariant> OaFramework::generate(const Variant& v) {
   return best;
 }
 
-using engine::size_env;
-
 StatusOr<double> OaFramework::measure_gflops(
     const tuner::TunedVariant& tuned, const Variant& v, int64_t n) const {
   gpusim::RunOptions opts;
   opts.fastpath = options_.fastpath;
-  opts.int_params = size_env(v, n);
+  opts.int_params = blas3::CallShape::square(v, n).env();
   opts.bool_params = tuner::bools_for(tuned.candidate);
   OA_ASSIGN_OR_RETURN(gpusim::RunResult result,
                       sim_.run_performance(tuned.program, opts));
@@ -267,7 +266,7 @@ StatusOr<double> OaFramework::measure_baseline_gflops(
     const ir::Program& program, const Variant& v, int64_t n) const {
   gpusim::RunOptions opts;
   opts.fastpath = options_.fastpath;
-  opts.int_params = size_env(v, n);
+  opts.int_params = blas3::CallShape::square(v, n).env();
   OA_ASSIGN_OR_RETURN(gpusim::RunResult result,
                       sim_.run_performance(program, opts));
   return result.gflops(blas3::nominal_flops(v, n, n, n) *
@@ -279,7 +278,7 @@ StatusOr<gpusim::Counters> OaFramework::profile(
     const std::map<std::string, bool>& bool_params) const {
   gpusim::RunOptions opts;
   opts.fastpath = options_.fastpath;
-  opts.int_params = size_env(v, n);
+  opts.int_params = blas3::CallShape::square(v, n).env();
   opts.bool_params = bool_params;
   OA_ASSIGN_OR_RETURN(gpusim::RunResult result,
                       sim_.run_performance(program, opts));
@@ -296,7 +295,8 @@ Status OaFramework::run(const ir::Program& program, const Variant& v,
                         const std::map<std::string, bool>& bool_params)
     const {
   // Shared with runtime::LibraryRuntime, which serves the same matrix
-  // conventions without an OaFramework.
+  // conventions without an OaFramework; blas3::CallShape validates the
+  // operands there.
   return engine::execute_program(sim_, program, v, a, b, c, bool_params);
 }
 

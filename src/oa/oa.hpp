@@ -135,6 +135,8 @@ class OaFramework {
 
   /// Functional execution of any program (tuned or baseline) on real
   /// matrices; the output array is written back into `b` (TRSM) or `c`.
+  /// Operands that fail blas3::CallShape::validate are rejected with
+  /// invalid_argument.
   Status run(const ir::Program& program, const blas3::Variant& v,
              const blas3::Matrix& a, blas3::Matrix& b, blas3::Matrix* c,
              const std::map<std::string, bool>& bool_params = {}) const;

@@ -1,8 +1,8 @@
 #include "runtime/library_runtime.hpp"
 
-#include <algorithm>
 #include <utility>
 
+#include "blas3/call_shape.hpp"
 #include "blas3/reference.hpp"
 #include "engine/evaluation_engine.hpp"
 #include "obs/trace.hpp"
@@ -194,107 +194,11 @@ Status LibraryRuntime::swap_artifact(libgen::Artifact artifact) {
   return status;
 }
 
-namespace {
-
-/// A call's true M/N/K, derived from its operand shapes — the one
-/// derivation dispatch_size() and check_operands() share.
-struct CallDims {
-  int64_t m = 0, n = 0, k = 0;
-};
-
-CallDims call_dims(const Variant& v, const blas3::Matrix& a,
-                   const blas3::Matrix& b, const blas3::Matrix* c) {
-  CallDims d;
-  switch (v.family) {
-    case blas3::Family::kGemm:
-      // C(m×n) += op(A)·op(B): m/n are the output extents, k is A's
-      // contraction extent.
-      d.m = c != nullptr ? c->rows() : b.rows();
-      d.n = c != nullptr ? c->cols() : b.cols();
-      d.k = v.trans_a == blas3::Trans::kT ? a.rows() : a.cols();
-      break;
-    case blas3::Family::kSyrk:
-      // C(n×n) += op(A)·op(A)^T: the routine never reads b, so its
-      // shape must not steer dispatch.
-      d.m = c != nullptr ? c->rows() : b.rows();
-      d.n = c != nullptr ? c->cols() : b.cols();
-      d.k = v.trans == blas3::Trans::kT ? a.rows() : a.cols();
-      break;
-    default:
-      // SYMM / TRMM / TRSM: the structured operand A is square over one
-      // of B's extents, so the in/out panel B carries both true dims.
-      d.m = b.rows();
-      d.n = b.cols();
-      break;
-  }
-  return d;
-}
-
-bool has_shape(const blas3::Matrix& x, int64_t rows, int64_t cols) {
-  return x.rows() == rows && x.cols() == cols;
-}
-
-/// Rejects a call whose operands cannot describe one BLAS3 problem: a
-/// wrong element type, a missing output, or A/B/C extents that disagree
-/// with the call's M/N/K. Kernels and the CPU reference alike trust
-/// those extents, so such a call would otherwise be answered from zero
-/// padding or out-of-bounds reads.
-Status check_operands(const Variant& v, const blas3::Matrix& a,
-                      const blas3::Matrix& b, const blas3::Matrix* c) {
-  // An f64 routine silently fed f32-tagged storage (or vice versa)
-  // would compute at the wrong precision.
-  if (a.precision() != v.precision || b.precision() != v.precision ||
-      (c != nullptr && c->precision() != v.precision)) {
-    return invalid_argument(str_format("%s expects %s matrices",
-                                       v.name().c_str(),
-                                       precision_name(v.precision)));
-  }
-  const bool trsm = v.family == blas3::Family::kTrsm;
-  if (c == nullptr && !trsm) {
-    return invalid_argument(v.name() + " needs an output matrix c");
-  }
-  const CallDims d = call_dims(v, a, b, c);
-  bool consistent = true;
-  switch (v.family) {
-    case blas3::Family::kGemm: {
-      const bool ta = v.trans_a == blas3::Trans::kT;
-      const bool tb = v.trans_b == blas3::Trans::kT;
-      consistent = has_shape(a, ta ? d.k : d.m, ta ? d.m : d.k) &&
-                   has_shape(b, tb ? d.n : d.k, tb ? d.k : d.n);
-      break;
-    }
-    case blas3::Family::kSyrk: {
-      const bool ta = v.trans == blas3::Trans::kT;
-      consistent = d.m == d.n && has_shape(a, ta ? d.k : d.n, ta ? d.n : d.k);
-      break;
-    }
-    default: {
-      const int64_t side = v.side == blas3::Side::kLeft ? d.m : d.n;
-      consistent = has_shape(a, side, side) &&
-                   (trsm || has_shape(*c, d.m, d.n));
-      break;
-    }
-  }
-  if (consistent) return Status::ok();
-  auto shape = [](const blas3::Matrix* x) {
-    return x == nullptr ? std::string("-")
-                        : str_format("%lldx%lld",
-                                     static_cast<long long>(x->rows()),
-                                     static_cast<long long>(x->cols()));
-  };
-  return invalid_argument(str_format(
-      "%s operand extents disagree: A %s, B %s, C %s", v.name().c_str(),
-      shape(&a).c_str(), shape(&b).c_str(), shape(c).c_str()));
-}
-
-}  // namespace
-
 int64_t LibraryRuntime::dispatch_size(const Variant& v,
                                       const blas3::Matrix& a,
                                       const blas3::Matrix& b,
                                       const blas3::Matrix* c) {
-  const CallDims d = call_dims(v, a, b, c);
-  return std::max({d.m, d.n, d.k, int64_t{1}});
+  return blas3::CallShape(v, a, b, c).dispatch_size();
 }
 
 const std::shared_ptr<const DispatchSnapshot>& LibraryRuntime::pinned()
@@ -366,11 +270,15 @@ Status LibraryRuntime::native_first(const Status& native, const Variant& v,
 void LibraryRuntime::prewarm(const DispatchSnapshot& snap) const {
   for (const DispatchSnapshot::Entry& entry : snap.entries()) {
     const ir::Env int_params =
-        engine::size_env(*entry.variant, entry.tuned_size);
+        blas3::CallShape::square(*entry.variant, entry.tuned_size).env();
     for (const ir::Kernel& kernel : entry.program.kernels) {
+      // Gated exactly like execution, so a spilled kernel is warmed
+      // under the key serving looks up.
       auto ck = gpusim::compile_kernel(entry.program, kernel, int_params,
                                        entry.bool_params);
-      if (!ck.is_ok()) continue;
+      if (!ck.is_ok() || !gpusim::gate_launch(device(), *ck).is_ok()) {
+        continue;
+      }
       // Failure is fine: the entry serves through the per-request
       // interpreter fallback (and the failure is negatively cached).
       (void)exec_cache_.get_or_compile(*ck);
@@ -468,7 +376,8 @@ StatusOr<DispatchOutcome> LibraryRuntime::run(const Variant& v,
                                               blas3::Matrix* c) const {
   const double start_us = obs::now_us();
   count_request(v);
-  if (Status bad = check_operands(v, a, b, c); !bad.is_ok()) {
+  const blas3::CallShape shape(v, a, b, c);
+  if (Status bad = shape.validate(); !bad.is_ok()) {
     return reject(bad, start_us);
   }
 
@@ -478,7 +387,7 @@ StatusOr<DispatchOutcome> LibraryRuntime::run(const Variant& v,
   // for the whole serve (this thread only refreshes it on its next
   // request).
   const DispatchSnapshot& snap = *pinned();
-  const Dispatch d = dispatch_on(snap, v, dispatch_size(v, a, b, c));
+  const Dispatch d = dispatch_on(snap, v, shape.dispatch_size());
   auto execute = [&](const ir::Program& program,
                      const std::map<std::string, bool>& bools) {
     return native_first(
@@ -524,31 +433,18 @@ StatusOr<DispatchOutcome> LibraryRuntime::run_batched(
                                    v.name() + " is single"),
                   start_us);
   }
-  if (c == nullptr) {
-    return reject(
-        invalid_argument("batched " + v.name() + " needs output matrices c"),
-        start_us);
-  }
-  if (a.empty() || a.size() != b.size() || c->size() != a.size()) {
-    return reject(
-        invalid_argument("batched operands disagree on batch count"),
-        start_us);
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    Status bad = check_operands(v, a[i], b[i], &(*c)[i]);
-    if (!bad.is_ok()) {
-      return reject(invalid_argument(str_format(
-                        "batch member %zu: %s", i, bad.message().c_str())),
-                    start_us);
-    }
+  // Members of one shape only (docs/BATCHED.md): a ragged batch is a
+  // bad call, not a native failure to fall back from.
+  const blas3::CallShape shape(v, a, b, c);
+  if (Status bad = shape.validate(); !bad.is_ok()) {
+    return reject(bad, start_us);
   }
 
   // One pin, one member-size dispatch for the whole batch; the batched
   // variant has its own code, so tuned batched entries never collide
   // with single-GEMM ones.
   const DispatchSnapshot& snap = *pinned();
-  const Dispatch d =
-      dispatch_on(snap, v, dispatch_size(v, a[0], b[0], &(*c)[0]));
+  const Dispatch d = dispatch_on(snap, v, shape.dispatch_size());
   auto execute = [&](const ir::Program& program,
                      const std::map<std::string, bool>& bools) {
     return native_first(

@@ -182,9 +182,9 @@ class LibraryRuntime {
   }
 
   /// Representative problem size for dispatch: the largest of the
-  /// routine family's true dims (M, N, K derived from a/b/c shapes),
-  /// so rectangular requests land in the bucket of their dominant
-  /// extent instead of whatever `b`'s shape happens to be.
+  /// call's true dims (blas3::CallShape::dispatch_size), so rectangular
+  /// requests land in the bucket of their dominant extent instead of
+  /// whatever `b`'s shape happens to be.
   static int64_t dispatch_size(const blas3::Variant& v,
                                const blas3::Matrix& a,
                                const blas3::Matrix& b,
@@ -213,10 +213,11 @@ class LibraryRuntime {
   /// Serve one BLAS3 call directly: run the dispatched kernel natively
   /// (matrix conventions as OaFramework::run), on the interpreter if
   /// the native backend refuses it, falling back to baseline / CPU
-  /// reference on a miss or execution failure. Operands whose element
-  /// type or A/B/C extents disagree with the call are rejected with
-  /// invalid_argument. Thread-safe; returns how the request was
-  /// ultimately served. Never sheds.
+  /// reference on a miss or execution failure. Operands that fail
+  /// blas3::CallShape::validate (element type, missing output, A/B/C
+  /// extents that disagree) are rejected with invalid_argument.
+  /// Thread-safe; returns how the request was ultimately served. Never
+  /// sheds.
   StatusOr<DispatchOutcome> run(const blas3::Variant& v,
                                 const blas3::Matrix& a, blas3::Matrix& b,
                                 blas3::Matrix* c) const;
@@ -230,8 +231,9 @@ class LibraryRuntime {
                                   blas3::Matrix* c) const;
 
   /// Serve one *batched* BLAS3 call directly (v.batch != kSingle):
-  /// operand vectors carry one matrix per batch member and must agree
-  /// on the batch count; every member is validated like a run() call.
+  /// operand vectors carry one matrix per batch member, all of one
+  /// shape; a call that fails blas3::CallShape::validate (a ragged
+  /// batch included) is rejected with invalid_argument.
   /// Dispatch resolves on the member size under the batched variant's
   /// own code; execution is native-first (the fused
   /// exec::execute_batched), then the interpreter loop-of-members,

@@ -63,7 +63,9 @@ void canonicalize_symmetric_refs(Node& stmt, const ir::Program& program) {
 
 }  // namespace
 
-Status format_iteration(ir::Program& program, const std::string& array,
+// The array argument only names the component's target in scripts: the
+// transform canonicalizes every value-symmetric array's references.
+Status format_iteration(ir::Program& program, const std::string& /*array*/,
                         AllocMode mode, const TransformContext& ctx) {
   if (mode != AllocMode::kSymmetry) {
     return invalid_argument("format_iteration supports the Symmetry mode");

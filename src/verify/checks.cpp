@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "blas3/call_shape.hpp"
 #include "blas3/matrix.hpp"
 #include "blas3/reference.hpp"
 #include "blas3/source_ir.hpp"
@@ -86,17 +87,15 @@ std::string counter_diff(const gpusim::Counters& fast,
   return out;
 }
 
-/// Reduction length of the fuzzed problem (drives the precision-scaled
-/// accumulation tolerance).
-int64_t reduction_length(const FuzzCase& c) {
-  if (c.variant.family == blas3::Family::kGemm) return std::max<int64_t>(c.k, 1);
-  return c.variant.side == blas3::Side::kLeft ? c.m : c.n;
-}
-
-/// Batch count the case executes at (1 for every single variant).
-int64_t case_batch(const FuzzCase& c) {
-  if (c.variant.batch == blas3::Batch::kSingle) return 1;
-  return std::max<int64_t>(c.batch, 1);
+/// The fuzzed problem as a call: M/N from the case, K its reduction
+/// length (the side's extent for SYMM/TRMM/TRSM, which drives the
+/// precision-scaled accumulation tolerance), one member for every
+/// single variant.
+blas3::CallShape case_shape(const FuzzCase& c) {
+  const int64_t count = c.variant.batch == blas3::Batch::kSingle
+                            ? 1
+                            : std::max<int64_t>(c.batch, 1);
+  return blas3::CallShape(c.variant, c.m, c.n, c.k, count);
 }
 
 /// One operand set per batch member, prepared exactly like
@@ -109,12 +108,13 @@ struct CaseInputs {
   std::vector<Matrix> a, b, c;
 };
 
-CaseInputs make_inputs(const FuzzCase& c, int64_t count) {
+CaseInputs make_inputs(const FuzzCase& c) {
   const bool gemm = c.variant.family == blas3::Family::kGemm;
   const bool trsm = c.variant.family == blas3::Family::kTrsm;
-  const int64_t m = c.m;
-  const int64_t n = c.n;
-  const int64_t k = reduction_length(c);
+  const blas3::CallShape shape = case_shape(c);
+  const int64_t m = shape.m();
+  const int64_t n = shape.n();
+  const int64_t k = shape.k();
   const Precision p = c.variant.precision;
   Rng rng(Fingerprint()
               .mix(c.seed)
@@ -122,7 +122,7 @@ CaseInputs make_inputs(const FuzzCase& c, int64_t count) {
               .mix(std::string_view("oacheck.data"))
               .digest());
   CaseInputs in;
-  for (int64_t i = 0; i < count; ++i) {
+  for (int64_t i = 0; i < shape.count(); ++i) {
     Matrix a = gemm ? (c.variant.trans_a == blas3::Trans::kN
                            ? Matrix(m, k, p)
                            : Matrix(k, m, p))
@@ -149,17 +149,18 @@ CaseInputs make_inputs(const FuzzCase& c, int64_t count) {
   return in;
 }
 
-/// Largest per-member divergence between two operand-set results (the
-/// updated matrix is `b` for TRSM, `c` for every other family).
-double max_member_diff(const FuzzCase& c, const std::vector<Matrix>& got_b,
+/// Largest per-member divergence between two operand-set results, in
+/// the operand the routine writes.
+double max_member_diff(const blas3::CallShape& shape,
+                       const std::vector<Matrix>& got_b,
                        const std::vector<Matrix>& got_c,
                        const std::vector<Matrix>& want_b,
                        const std::vector<Matrix>& want_c) {
-  const bool trsm = c.variant.family == blas3::Family::kTrsm;
+  const std::vector<Matrix>& got = shape.output_of(got_b, &got_c);
+  const std::vector<Matrix>& want = shape.output_of(want_b, &want_c);
   double err = 0.0;
-  for (size_t i = 0; i < got_b.size(); ++i) {
-    err = std::max(err, blas3::max_abs_diff(trsm ? got_b[i] : got_c[i],
-                                            trsm ? want_b[i] : want_c[i]));
+  for (size_t i = 0; i < got.size(); ++i) {
+    err = std::max(err, blas3::max_abs_diff(got[i], want[i]));
   }
   return err;
 }
@@ -206,9 +207,10 @@ CheckResult check_differential(const gpusim::Simulator& sim,
             "apply/validate: " + sanitize(mask.status().to_string())};
   }
 
-  const int64_t k = reduction_length(c);
-  const int64_t count = case_batch(c);
-  const CaseInputs in = make_inputs(c, count);
+  const blas3::CallShape shape = case_shape(c);
+  const int64_t k = shape.k();
+  const int64_t count = shape.count();
+  const CaseInputs in = make_inputs(c);
   const std::map<std::string, bool> bools = {{"blank_zero", true}};
 
   // Candidate execution, native-first: the exec backend computes the
@@ -251,7 +253,7 @@ CheckResult check_differential(const gpusim::Simulator& sim,
   }
 
   const double tol = blas3::accumulation_tolerance(k, c.variant.precision);
-  double err = max_member_diff(c, got_b, got_c, ref_b, ref_c);
+  double err = max_member_diff(shape, got_b, got_c, ref_b, ref_c);
   if (err <= tol) {
     return {Verdict::kPass,
             str_format("mask=%llx err<=tol (%s)",
@@ -280,7 +282,7 @@ CheckResult check_differential(const gpusim::Simulator& sim,
                                             interp_b, &interp_c, bools);
     if (interp.is_ok()) {
       const double interp_err =
-          max_member_diff(c, interp_b, interp_c, ref_b, ref_c);
+          max_member_diff(shape, interp_b, interp_c, ref_b, ref_c);
       if (interp_err <= tol) {
         return {Verdict::kFail,
                 str_format("native backend diverges err=%g tol=%g "
@@ -388,14 +390,9 @@ CheckResult check_fastpath(const gpusim::Simulator& sim, const FuzzCase& c) {
   }
 
   gpusim::RunOptions opts;
-  opts.int_params = c.variant.family == blas3::Family::kGemm
-                        ? ir::Env{{"M", c.m}, {"N", c.n}, {"K", c.k}}
-                        : ir::Env{{"M", c.m}, {"N", c.n}};
-  if (c.variant.batch != blas3::Batch::kSingle) {
-    // Batched pricing multiplies counters by the batch count on both
-    // paths; the bit-identity contract must hold there too.
-    opts.int_params["BATCH"] = case_batch(c);
-  }
+  // Batched pricing multiplies counters by the batch count (BATCH) on
+  // both paths; the bit-identity contract must hold there too.
+  opts.int_params = case_shape(c).env();
   opts.fastpath = true;
   auto fast = sim.run_performance(program, opts);
   opts.fastpath = false;
@@ -446,9 +443,10 @@ CheckResult check_native(const gpusim::Simulator& sim, const FuzzCase& c) {
   // is attributable to the backend, never to data preparation. Batched
   // variants run the fused exec::execute_batched path against a loop of
   // interpreter members — the semantic contract docs/BATCHED.md states.
-  const int64_t k = reduction_length(c);
-  const int64_t count = case_batch(c);
-  const CaseInputs in = make_inputs(c, count);
+  const blas3::CallShape shape = case_shape(c);
+  const int64_t k = shape.k();
+  const int64_t count = shape.count();
+  const CaseInputs in = make_inputs(c);
   const std::map<std::string, bool> bools = {{"blank_zero", true}};
   const bool batched = c.variant.batch != blas3::Batch::kSingle;
 
@@ -491,7 +489,7 @@ CheckResult check_native(const gpusim::Simulator& sim, const FuzzCase& c) {
   }
 
   const double diff =
-      max_member_diff(c, native_b, native_c, interp_b, interp_c);
+      max_member_diff(shape, native_b, native_c, interp_b, interp_c);
   if (diff == 0.0) {
     return {Verdict::kPass,
             str_format("bit-identical (mask=%llx%s)",
@@ -513,8 +511,8 @@ CheckResult check_native(const gpusim::Simulator& sim, const FuzzCase& c) {
                          &ref_c[static_cast<size_t>(i)]);
   }
   const double tol = blas3::accumulation_tolerance(k, c.variant.precision);
-  const double err_i = max_member_diff(c, interp_b, interp_c, ref_b, ref_c);
-  const double err_n = max_member_diff(c, native_b, native_c, ref_b, ref_c);
+  const double err_i = max_member_diff(shape, interp_b, interp_c, ref_b, ref_c);
+  const double err_n = max_member_diff(shape, native_b, native_c, ref_b, ref_c);
   if (err_i <= tol && err_n <= tol) {
     return {Verdict::kPass,
             str_format("diverge %g but both within tol=%g (racy kernel)",

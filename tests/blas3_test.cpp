@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "blas3/call_shape.hpp"
 #include "blas3/matrix.hpp"
 #include "blas3/reference.hpp"
 #include "blas3/routine.hpp"
@@ -335,6 +336,99 @@ TEST(SourceIr, TrsmBackwardVariantsUseReversedSubscripts) {
 TEST(SourceIr, OutputArray) {
   EXPECT_STREQ(output_array(*find_variant("GEMM-NN")), "C");
   EXPECT_STREQ(output_array(*find_variant("TRSM-LL-N")), "B");
+}
+
+// ------------------------------------------------------------ call shape
+
+/// One call's operand extents and the shape CallShape must read off
+/// them. Rectangular throughout, with M, N and K pairwise distinct, so
+/// a dim taken from the wrong axis shows.
+struct ShapeRow {
+  const char* variant;
+  int64_t a_rows, a_cols, b_rows, b_cols, c_rows, c_cols;  // c 0x0: none
+  int64_t members;
+  int64_t m, n, k, dispatch;
+  const char* output;
+};
+
+TEST(CallShape, DerivesDimsDispatchSizeAndOutputFromOperands) {
+  const ShapeRow rows[] = {
+      // GEMM: C(5x3) += op(A)(5x7) * op(B)(7x3) for every transpose.
+      {"GEMM-NN", 5, 7, 7, 3, 5, 3, 1, 5, 3, 7, 7, "C"},
+      {"GEMM-NT", 5, 7, 3, 7, 5, 3, 1, 5, 3, 7, 7, "C"},
+      {"GEMM-TN", 7, 5, 7, 3, 5, 3, 1, 5, 3, 7, 7, "C"},
+      {"GEMM-TT", 7, 5, 3, 7, 5, 3, 1, 5, 3, 7, 7, "C"},
+      // Side-structured: B carries M x N, A is square over the side.
+      {"SYMM-LL", 5, 5, 5, 3, 5, 3, 1, 5, 3, 5, 5, "C"},
+      {"SYMM-RU", 8, 8, 3, 8, 3, 8, 1, 3, 8, 8, 8, "C"},
+      {"TRMM-LL-N", 5, 5, 5, 3, 5, 3, 1, 5, 3, 5, 5, "C"},
+      {"TRMM-RU-T", 8, 8, 3, 8, 3, 8, 1, 3, 8, 8, 8, "C"},
+      {"TRSM-LU-T", 5, 5, 5, 3, 0, 0, 1, 5, 3, 5, 5, "B"},
+      {"TRSM-RL-N", 8, 8, 3, 8, 0, 0, 1, 3, 8, 8, 8, "B"},
+      // SYRK: C(6x6) += op(A)(6x4) * op(A)^T; B is never read.
+      {"SYRK-LN", 6, 4, 1, 1, 6, 6, 1, 6, 6, 4, 6, "C"},
+      {"SYRK-UT", 4, 6, 1, 1, 6, 6, 1, 6, 6, 4, 6, "C"},
+      // Batched families: member 0's extents, counted over members.
+      {"GEMM_BATCHED-NN", 5, 7, 7, 3, 5, 3, 3, 5, 3, 7, 7, "C"},
+      {"DGEMM_STRIDED_BATCHED-TN", 7, 5, 7, 3, 5, 3, 2, 5, 3, 7, 7, "C"},
+  };
+  for (const ShapeRow& row : rows) {
+    SCOPED_TRACE(row.variant);
+    const Variant* v = find_variant(row.variant);
+    ASSERT_NE(v, nullptr);
+    const Precision p = v->precision;
+    const auto count = static_cast<size_t>(row.members);
+    const std::vector<Matrix> a(count, Matrix(row.a_rows, row.a_cols, p));
+    const std::vector<Matrix> b(count, Matrix(row.b_rows, row.b_cols, p));
+    const std::vector<Matrix> c(
+        row.c_rows > 0 ? count : 0, Matrix(row.c_rows, row.c_cols, p));
+    const CallShape shape =
+        v->batch == Batch::kSingle
+            ? CallShape(*v, a[0], b[0], c.empty() ? nullptr : &c[0])
+            : CallShape(*v, a, b, &c);
+    EXPECT_EQ(shape.m(), row.m);
+    EXPECT_EQ(shape.n(), row.n);
+    EXPECT_EQ(shape.k(), row.k);
+    EXPECT_EQ(shape.count(), row.members);
+    EXPECT_EQ(shape.dispatch_size(), row.dispatch);
+    EXPECT_STREQ(shape.output(), row.output);
+    EXPECT_TRUE(shape.validate().is_ok()) << shape.validate().to_string();
+  }
+}
+
+TEST(CallShape, EnvBindsTheFamilysDimsAndTheBatch) {
+  const Matrix a(5, 7), b(7, 3), c(5, 3);
+  EXPECT_EQ(CallShape(*find_variant("GEMM-NN"), a, b, &c).env(),
+            (ir::Env{{"M", 5}, {"N", 3}, {"K", 7}}));
+  const Matrix s(5, 5);
+  EXPECT_EQ(CallShape(*find_variant("SYMM-LL"), s, c, &c).env(),
+            (ir::Env{{"M", 5}, {"N", 3}}));
+  const std::vector<Matrix> as(3, a), bs(3, b), cs(3, c);
+  EXPECT_EQ(CallShape(*find_variant("GEMM_BATCHED-NN"), as, bs, &cs).env(),
+            (ir::Env{{"M", 5}, {"N", 3}, {"K", 7}, {"BATCH", 3}}));
+  // Square shapes: what tuning and prewarming compile, at the batched
+  // families' nominal batch.
+  const CallShape sq = CallShape::square(*find_variant("GEMM_BATCHED-NN"), 64);
+  EXPECT_EQ(sq.count(), 256);
+  EXPECT_EQ(sq.env(),
+            (ir::Env{{"M", 64}, {"N", 64}, {"K", 64}, {"BATCH", 256}}));
+  EXPECT_EQ(CallShape::square(*find_variant("TRSM-RL-N"), 32).env(),
+            (ir::Env{{"M", 32}, {"N", 32}}));
+}
+
+TEST(CallShape, ValidateChecksElementTypeAndOutput) {
+  // Extent disagreements and ragged batches are covered through every
+  // entry point by LibraryRuntime.RejectsInconsistentOperands.
+  const Variant& gemm = *find_variant("GEMM-NN");
+  const Matrix f32(8, 8), f64(8, 8, Precision::kF64);
+  EXPECT_EQ(CallShape(gemm, f32, f32, &f64).validate().code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(CallShape(gemm, f32, f32, nullptr).validate().code(),
+            ErrorCode::kInvalidArgument);
+  // TRSM solves in B: no C needed.
+  EXPECT_TRUE(CallShape(*find_variant("TRSM-LL-N"), f32, f32, nullptr)
+                  .validate()
+                  .is_ok());
 }
 
 }  // namespace

@@ -21,6 +21,10 @@ struct CaseSpec {
   std::string name;
 };
 
+// Listed test names embed the printed parameter; print the variant
+// rather than raw bytes, which include string-literal addresses.
+void PrintTo(const CaseSpec& spec, std::ostream* os) { *os << spec.variant; }
+
 std::vector<CaseSpec> cases() {
   static const char* kGemmScript = R"(
     (Lii, Ljj) = thread_grouping(Li, Lj);

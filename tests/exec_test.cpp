@@ -294,7 +294,7 @@ TEST(ExecFallbackTest, OutOfBoundsMatchesInterpreterDiagnostic) {
     ASSERT_TRUE(ek.is_ok()) << ek.status().to_string();
     gpusim::GlobalBuffers buffers;
     buffers.data["A"] = std::vector<double>(16, 0.0);
-    Status s = run_lowered(**ek, gpusim::gtx285(), buffers, nullptr);
+    Status s = run_lowered(**ek, buffers, /*count=*/1, nullptr);
     ASSERT_FALSE(s.is_ok()) << (force_portable ? "portable" : "jit");
     EXPECT_NE(s.message().find(
                   "out-of-bounds access to A: (10, 0) not in 4x4"),

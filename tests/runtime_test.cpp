@@ -7,6 +7,8 @@
 
 #include "blas3/reference.hpp"
 #include "blas3/source_ir.hpp"
+#include "engine/evaluation_engine.hpp"
+#include "exec/executor.hpp"
 #include "libgen/artifact.hpp"
 #include "oa/oa.hpp"
 #include "runtime/library_runtime.hpp"
@@ -245,6 +247,30 @@ TEST(LibraryRuntime, RejectsInconsistentOperands) {
         rt.metrics().histogram("runtime.dispatch_us.failed").count(), 2u);
   }
 
+  // The same call outside the runtime: the interpreter, the native
+  // backend and OaFramework::run validate it through the same CallShape.
+  {
+    const ir::Program program = blas3::make_source_program(gemm);
+    const gpusim::Simulator sim(gpusim::gtx285());
+    exec::ExecCache cache;
+    const OaFramework framework(gpusim::gtx285(), quick_options());
+    Rng rng(0x4096);
+    blas3::Matrix a(4, 4096), b(4, 4), c(4, 4);
+    a.fill_random(rng);
+    b.fill_random(rng);
+    const Status rejections[] = {
+        engine::execute_program(sim, program, gemm, a, b, &c, {}),
+        exec::execute_program(sim.device(), program, gemm, a, b, &c, {},
+                              cache),
+        framework.run(program, gemm, a, b, &c),
+    };
+    for (const Status& s : rejections) {
+      EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument) << s.to_string();
+    }
+    EXPECT_EQ(blas3::max_abs_diff(c, blas3::Matrix(4, 4)), 0.0)
+        << "a rejected call must not write its output";
+  }
+
   // One inconsistent member rejects the whole batched call.
   const Variant& batched = *blas3::find_variant("GEMM_BATCHED-NN");
   LibraryRuntime rt(gpusim::gtx285(), Artifact{});
@@ -259,6 +285,19 @@ TEST(LibraryRuntime, RejectsInconsistentOperands) {
   ASSERT_FALSE(served.is_ok());
   EXPECT_EQ(served.status().code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(rt.stats().failed_requests, 2u);
+
+  // A ragged batch — every member consistent on its own, but 16x16 next
+  // to 24x24 — is not one batched call: rejected up front and counted
+  // as failed, never served from a fallback.
+  std::vector<blas3::Matrix> ra{blas3::Matrix(16, 16), blas3::Matrix(24, 24)};
+  std::vector<blas3::Matrix> rb = ra, rc = ra;
+  auto ragged = rt.run_batched(batched, ra, rb, &rc);
+  ASSERT_FALSE(ragged.is_ok()) << runtime::outcome_name(*ragged);
+  EXPECT_EQ(ragged.status().code(), ErrorCode::kInvalidArgument);
+  const runtime::DispatchStats stats = rt.stats();
+  EXPECT_EQ(stats.failed_requests, 3u);
+  EXPECT_EQ(stats.native_fallbacks, 0u);
+  EXPECT_EQ(stats.baseline_fallbacks, 0u);
 }
 
 TEST(LibraryRuntime, MissFallsBackToTheBaselineCorrectly) {

@@ -10,9 +10,12 @@
 #include <thread>
 #include <vector>
 
+#include "blas3/call_shape.hpp"
 #include "blas3/reference.hpp"
+#include "blas3/source_ir.hpp"
 #include "engine/evaluation_engine.hpp"
 #include "epod/script.hpp"
+#include "exec/annotate.hpp"
 #include "libgen/artifact.hpp"
 #include "oa/oa.hpp"
 #include "obs/metrics.hpp"
@@ -383,6 +386,69 @@ TEST(NativeServing, UnlowerableKernelFallsBackToTheInterpreter) {
   EXPECT_EQ(stats.native_fallbacks, 1u);
   EXPECT_EQ(stats.failed_requests, 0u);
   EXPECT_EQ(rt.metrics().counter_value("runtime.native_fallbacks"), 1u);
+}
+
+/// The tuned GEMM-NN entry re-parameterised so its kernel spills on
+/// gtx285: a 64x64 block tile on 16x1 threads gives every thread 256
+/// register elements, far over the per-thread register ceiling.
+Artifact spilling_gemm_artifact() {
+  Artifact artifact = gemm_artifact();
+  libgen::ArtifactEntry& e = artifact.entries.at(0);
+  e.params.block_tile_y = e.params.block_tile_x = 64;
+  e.params.threads_y = 16;
+  e.params.threads_x = 1;
+  e.tuned_size = 128;
+  transforms::TransformContext ctx;
+  ctx.params = e.params;
+  ir::Program program =
+      blas3::make_source_program(*blas3::find_variant(e.variant));
+  auto mask = epod::apply_script_lenient(program, e.script, ctx);
+  EXPECT_TRUE(mask.is_ok()) << mask.status().to_string();
+  e.applied_mask = *mask;
+  return artifact;
+}
+
+TEST(NativeServing, PrewarmAndSidecarUseTheGatedKernel) {
+  // Spilling is part of the exec-cache key, so prewarm and the artifact
+  // sidecar must see the kernel after the launch gate, as serving does.
+  Artifact artifact = spilling_gemm_artifact();
+  LibraryRuntime rt(gpusim::gtx285(), artifact);
+  ASSERT_EQ(rt.table_size(), 1u) << rt.load_status().to_string();
+  const int64_t warmed = rt.exec_stats().compiles;
+  EXPECT_GT(warmed, 0);
+
+  const Variant& gemm = *blas3::find_variant("GEMM-NN");
+  blas3::Matrix a, b, c;
+  make_inputs(128, 0x5B111, a, b, c);
+  blas3::Matrix ref_b = b, ref_c = c;
+  blas3::run_reference(gemm, a, ref_b, &ref_c);
+  auto outcome = rt.run(gemm, a, b, &c);
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+  EXPECT_EQ(*outcome, DispatchOutcome::kHit);
+  EXPECT_LE(blas3::max_abs_diff(c, ref_c),
+            blas3::accumulation_tolerance(128));
+  EXPECT_EQ(rt.stats().native_serves, 1u);
+  EXPECT_EQ(rt.exec_stats().compiles, warmed)
+      << "the first run at the tuned size compiled a kernel prewarm missed";
+
+  // The sidecar records the key of the kernel serving compiled.
+  ASSERT_TRUE(exec::annotate_artifact(artifact, gpusim::gtx285()).is_ok());
+  const LibraryRuntime::Dispatch d = rt.dispatch(gemm, 128);
+  ASSERT_NE(d.program, nullptr);
+  const std::vector<libgen::ExecRecord>& records =
+      artifact.entries[0].exec;
+  ASSERT_EQ(records.size(), d.program->kernels.size());
+  const ir::Env env = blas3::CallShape(gemm, a, b, &c).env();
+  bool spilled = false;
+  for (size_t i = 0; i < records.size(); ++i) {
+    auto ck = gpusim::compile_kernel(*d.program, d.program->kernels[i], env,
+                                     *d.bool_params);
+    ASSERT_TRUE(ck.is_ok()) << ck.status().to_string();
+    ASSERT_TRUE(gpusim::gate_launch(gpusim::gtx285(), *ck).is_ok());
+    for (const gpusim::CArray& arr : ck->arrays) spilled |= arr.spilled;
+    EXPECT_EQ(records[i].key, exec::kernel_key(*ck)) << records[i].kernel;
+  }
+  EXPECT_TRUE(spilled) << "the entry no longer spills; the test is moot";
 }
 
 TEST(NativeServing, ExecCacheStaysBoundedAcrossCallShapes) {
