@@ -18,7 +18,7 @@
 // exec-cache counters proving that warm re-execution compiles nothing.
 //
 // Results land in BENCH_exec.json (schema-checked and uploaded by the
-// CI tier-1 lane, which asserts native >= 10x interpreter on tuned
+// CI tier-1 lane, which asserts native >= 12x interpreter on tuned
 // GEMM-NN and warm_recompiles == 0).
 //
 // A third, batched row times tuned GEMM_BATCHED-NN at batch=256 with

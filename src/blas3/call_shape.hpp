@@ -49,6 +49,9 @@ class CallShape {
   int64_t k() const { return k_; }
   int64_t count() const { return count_; }
 
+  /// True when M, N or K is 0: the call holds no work for a kernel.
+  bool empty() const { return m_ == 0 || n_ == 0 || k_ == 0; }
+
   /// The largest true dim: rectangular calls dispatch by their
   /// dominant extent.
   int64_t dispatch_size() const;

@@ -28,12 +28,39 @@ bool jit_disabled_by_env() {
 // double-op-then-round_to discipline (innocuous double rounding; see
 // support/precision.hpp).
 
+int64_t eval_affine(const Segment& seg, int32_t id, const int64_t* slots,
+                    const int64_t* locals) {
+  const TAffine& aff = seg.affines[static_cast<size_t>(id)];
+  int64_t v = aff.imm;
+  for (int32_t i = 0; i < aff.count; ++i) {
+    const RTerm& rt = seg.terms[static_cast<size_t>(aff.first + i)];
+    v += rt.coeff * (rt.is_local ? locals[rt.src] : slots[rt.src]);
+  }
+  return v;
+}
+
 template <typename T>
 void run_segment_portable(const Segment& seg, const LoweredKernel& lk,
                           double* const* arrays, const int64_t* slots,
                           int64_t* locals) {
   auto* err = reinterpret_cast<ErrorCell*>(
       const_cast<double*>(arrays[lk.arrays.size()]));
+  // Bounds-checked element of arrays[t.a] at (aff[t.b], aff[t.c]), or
+  // null after recording the fault.
+  auto cell = [&](const TIns& t) -> double* {
+    const gpusim::CArray& arr = lk.arrays[static_cast<size_t>(t.a)];
+    const int64_t r = eval_affine(seg, t.b, slots, locals);
+    const int64_t c = eval_affine(seg, t.c, slots, locals);
+    if (static_cast<uint64_t>(r) >= static_cast<uint64_t>(arr.rows) ||
+        static_cast<uint64_t>(c) >= static_cast<uint64_t>(arr.cols)) {
+      err->failed = 1;
+      err->array = t.a;
+      err->row = r;
+      err->col = c;
+      return nullptr;
+    }
+    return &arrays[t.a][r + c * arr.ld];
+  };
   T stack[gpusim::kMaxTapeDepth];
   int sp = 0;
   size_t ip = 0;
@@ -41,20 +68,16 @@ void run_segment_portable(const Segment& seg, const LoweredKernel& lk,
   while (ip < n) {
     const TIns& t = seg.code[ip];
     switch (t.op) {
-      case TIns::Op::kAffine: {
-        int64_t v = t.imm;
-        for (int32_t i = 0; i < t.c; ++i) {
-          const RTerm& rt = seg.terms[static_cast<size_t>(t.b) + i];
-          v += rt.coeff * (rt.is_local ? locals[rt.src] : slots[rt.src]);
-        }
-        locals[t.a] = v;
+      case TIns::Op::kAffine:
+        locals[t.a] = eval_affine(seg, t.b, slots, locals);
         break;
-      }
       case TIns::Op::kMin:
-        locals[t.a] = std::min(locals[t.a], locals[t.b]);
+        locals[t.a] =
+            std::min(locals[t.a], eval_affine(seg, t.b, slots, locals));
         break;
       case TIns::Op::kMax:
-        locals[t.a] = std::max(locals[t.a], locals[t.b]);
+        locals[t.a] =
+            std::max(locals[t.a], eval_affine(seg, t.b, slots, locals));
         break;
       case TIns::Op::kAddImm:
         locals[t.a] += t.imm;
@@ -69,7 +92,7 @@ void run_segment_portable(const Segment& seg, const LoweredKernel& lk,
         }
         break;
       case TIns::Op::kPredJump: {
-        const int64_t v = locals[t.a];
+        const int64_t v = eval_affine(seg, t.a, slots, locals);
         bool hold = false;
         switch (static_cast<ir::Pred::Op>(t.mode)) {
           case ir::Pred::Op::kEq: hold = v == 0; break;
@@ -86,17 +109,9 @@ void run_segment_portable(const Segment& seg, const LoweredKernel& lk,
         stack[sp++] = static_cast<T>(t.fimm);
         break;
       case TIns::Op::kFLoad: {
-        const gpusim::CArray& arr = lk.arrays[static_cast<size_t>(t.a)];
-        const int64_t r = locals[t.b], c = locals[t.c];
-        if (static_cast<uint64_t>(r) >= static_cast<uint64_t>(arr.rows) ||
-            static_cast<uint64_t>(c) >= static_cast<uint64_t>(arr.cols)) {
-          err->failed = 1;
-          err->array = t.a;
-          err->row = r;
-          err->col = c;
-          return;
-        }
-        stack[sp++] = static_cast<T>(arrays[t.a][r + c * arr.ld]);
+        const double* src = cell(t);
+        if (src == nullptr) return;
+        stack[sp++] = static_cast<T>(*src);
         break;
       }
       case TIns::Op::kFNeg:
@@ -119,30 +134,21 @@ void run_segment_portable(const Segment& seg, const LoweredKernel& lk,
         --sp;
         break;
       case TIns::Op::kFStore: {
-        const gpusim::CArray& arr = lk.arrays[static_cast<size_t>(t.a)];
-        const int64_t r = locals[t.b], c = locals[t.c];
-        if (static_cast<uint64_t>(r) >= static_cast<uint64_t>(arr.rows) ||
-            static_cast<uint64_t>(c) >= static_cast<uint64_t>(arr.cols)) {
-          err->failed = 1;
-          err->array = t.a;
-          err->row = r;
-          err->col = c;
-          return;
-        }
-        double* cell = &arrays[t.a][r + c * arr.ld];
+        double* dst = cell(t);
+        if (dst == nullptr) return;
         const T value = stack[--sp];
         switch (static_cast<ir::AssignOp>(t.mode)) {
           case ir::AssignOp::kAssign:
-            *cell = static_cast<double>(value);
+            *dst = static_cast<double>(value);
             break;
           case ir::AssignOp::kAddAssign:
-            *cell = static_cast<double>(static_cast<T>(*cell) + value);
+            *dst = static_cast<double>(static_cast<T>(*dst) + value);
             break;
           case ir::AssignOp::kSubAssign:
-            *cell = static_cast<double>(static_cast<T>(*cell) - value);
+            *dst = static_cast<double>(static_cast<T>(*dst) - value);
             break;
           case ir::AssignOp::kDivAssign:
-            *cell = static_cast<double>(static_cast<T>(*cell) / value);
+            *dst = static_cast<double>(static_cast<T>(*dst) / value);
             break;
         }
         break;
@@ -313,15 +319,28 @@ const ExecCache::Result* ExecCache::find_locked(uint64_t key) {
   return &it->second.result;
 }
 
+namespace {
+
+int64_t mapped_bytes(const StatusOr<std::shared_ptr<const ExecutedKernel>>& r) {
+  return r.is_ok() && (*r)->code != nullptr
+             ? static_cast<int64_t>((*r)->code->size())
+             : 0;
+}
+
+}  // namespace
+
 const ExecCache::Result& ExecCache::insert_locked(uint64_t key,
                                                   Result result) {
   if (const Result* raced = find_locked(key)) return *raced;
   lru_.push_front(key);
+  stats_.code_bytes += mapped_bytes(result);
   const Result& stored =
       slots_.emplace(key, Slot{std::move(result), lru_.begin()})
           .first->second.result;
   while (slots_.size() > kCapacity) {
-    slots_.erase(lru_.back());
+    auto victim = slots_.find(lru_.back());
+    stats_.code_bytes -= mapped_bytes(victim->second.result);
+    slots_.erase(victim);
     lru_.pop_back();
     ++stats_.evictions;
   }
@@ -383,12 +402,8 @@ ExecStats ExecCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ExecStats out = stats_;
   out.entries = static_cast<int64_t>(slots_.size());
+  out.native_blocks = native_blocks_.load(std::memory_order_relaxed);
   return out;
-}
-
-void ExecCache::count_native_blocks(int64_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.native_blocks += n;
 }
 
 // ---- Program-level execution --------------------------------------

@@ -8,6 +8,7 @@
 // through the lockstep interpreter.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -42,6 +43,7 @@ struct ExecStats {
   int64_t native_blocks = 0;     // thread blocks executed natively
   int64_t entries = 0;           // cached kernels + cached refusals now
   int64_t evictions = 0;         // least-recently-used entries dropped
+  int64_t code_bytes = 0;        // mapped JIT code the entries hold now
 };
 
 /// Per-segment entry point (SysV; the portable executor matches the
@@ -80,7 +82,10 @@ class ExecCache {
       const gpusim::CompiledKernel& ck, const ExecOptions& options = {});
 
   ExecStats stats() const;
-  void count_native_blocks(int64_t n);
+  /// Lock-free: run_lowered counts every launch here.
+  void count_native_blocks(int64_t n) {
+    native_blocks_.fetch_add(n, std::memory_order_relaxed);
+  }
 
  private:
   using Result = StatusOr<std::shared_ptr<const ExecutedKernel>>;
@@ -98,7 +103,8 @@ class ExecCache {
   mutable std::mutex mu_;
   std::map<uint64_t, Slot> slots_;
   std::list<uint64_t> lru_;  // most recently used first
-  ExecStats stats_;
+  ExecStats stats_;          // all but native_blocks, guarded by mu_
+  std::atomic<int64_t> native_blocks_{0};
 };
 
 /// The native block loop: execute every block of `ek` for each of

@@ -2,13 +2,30 @@
 //
 // Each segment becomes one SysV function
 //     void seg(double* const* arrays, const int64_t* slots)
-// with tape locals in the stack frame, the FP evaluation stack mapped
-// onto xmm0..xmm12 (xmm15 is scratch), and bounds-checked loads/stores
-// that record the faulting access in the trailing ErrorCell and return
-// early. f32 kernels load via cvtsd2ss, compute in single precision
+// with the FP evaluation stack mapped onto xmm0..xmm12 (xmm15 is
+// scratch). Tape locals and hot array base pointers live in r10, r11,
+// rbx, r12–r15, picked by loop-depth-weighted use (the callee-saved
+// ones are pushed in the prologue and restored on every exit); the
+// rest live in the stack frame. Affines are emitted as mov/lea/add.
+//
+// Every access is bounds-checked — row against rows, col against cols —
+// or proven in range on loop entry: an innermost straight-line loop
+// checks each access's row and col at its first and last trip (affine
+// in the loop variable, so monotone) and then runs an unchecked copy
+// of its body, each access addressed through a pointer induction
+// variable and loop-invariant loads of arrays the loop never stores
+// read once into the xmm registers above the stack; when any index is
+// out of range it runs the checked copy instead. A failed
+// check jumps to a per-access stub that records the faulting access in
+// the trailing ErrorCell and returns early, so run_lowered reports the
+// interpreter's diagnostic for the first faulting access.
+//
+// f32 kernels load via cvtsd2ss, compute in single precision
 // (addss/subss/mulss/divss), and store via cvtss2sd — bit-identical to
 // the interpreter's double-op-then-round discipline (innocuous double
 // rounding; see support/precision.hpp). f64 kernels use the sd forms.
+// The per-lane FP operation order is the tape's: no contraction, no
+// reassociation.
 #pragma once
 
 #include <memory>

@@ -44,67 +44,101 @@ bool body_has_sync(const std::vector<CNode>& body) {
   return false;
 }
 
-/// Builds one segment tape from a run of sync-free nodes. Locals 0/1
-/// are the address scratch (row, col) — free between statements, also
-/// reused for bound/predicate temporaries; loop variables and hoisted
-/// upper bounds get dedicated locals (live across iterations).
+/// Builds one segment tape from a run of sync-free nodes. Loop
+/// variables and hoisted upper bounds get dedicated locals (live across
+/// iterations); each distinct slot-term set of the segment's affines
+/// gets one slot-base local, computed once in the segment's prologue.
 class SegmentBuilder {
  public:
   explicit SegmentBuilder(const CompiledKernel& k) : k_(k) {}
 
   Status add(const CNode& n) { return node(n); }
 
+  /// The tape: slot-base prologue (known only once every affine has
+  /// been seen), then the body with its jump targets shifted past it.
   Segment finish() {
+    Segment seg;
+    for (const auto& [slot_terms, local] : bases_) {
+      TAffine aff;
+      aff.first = static_cast<int32_t>(terms_.size());
+      aff.count = static_cast<int32_t>(slot_terms.size());
+      for (const auto& [slot, coeff] : slot_terms) {
+        terms_.push_back(RTerm{slot, 0, coeff});
+      }
+      TIns t;
+      t.op = TIns::Op::kAffine;
+      t.a = local;
+      t.b = static_cast<int32_t>(affines_.size());
+      affines_.push_back(aff);
+      seg.code.push_back(t);
+    }
+    const auto shift = static_cast<int32_t>(seg.code.size());
+    for (TIns t : code_) {
+      if (t.op == TIns::Op::kJump) t.a += shift;
+      if (t.op == TIns::Op::kJumpGe || t.op == TIns::Op::kPredJump) {
+        t.c += shift;
+      }
+      seg.code.push_back(t);
+    }
     TIns ret;
     ret.op = TIns::Op::kRet;
-    seg_.code.push_back(ret);
-    seg_.num_locals = num_locals_;
-    seg_.max_stack = max_stack_;
-    return std::move(seg_);
+    seg.code.push_back(ret);
+    seg.affines = std::move(affines_);
+    seg.terms = std::move(terms_);
+    seg.num_locals = num_locals_;
+    seg.max_stack = max_stack_;
+    return seg;
   }
 
  private:
   size_t emit(const TIns& t) {
-    seg_.code.push_back(t);
-    return seg_.code.size() - 1;
+    code_.push_back(t);
+    return code_.size() - 1;
   }
 
   int alloc_local() { return num_locals_++; }
 
-  /// local[dst] = e, resolving each slot against the in-scope
-  /// segment-local loop variables (tape locals) or the lane frame.
-  void affine(const CExpr& e, int dst) {
-    TIns t;
-    t.op = TIns::Op::kAffine;
-    t.a = dst;
-    t.imm = e.constant;
-    t.b = static_cast<int32_t>(seg_.terms.size());
-    t.c = static_cast<int32_t>(e.terms.size());
+  /// The affine of `e`, resolving each slot against the in-scope
+  /// segment-local loop variables (read directly) or the lane frame
+  /// (folded into the slot base of its term set; a set and its
+  /// negation share one base).
+  int32_t affine(const CExpr& e) {
+    TAffine aff;
+    aff.imm = e.constant;
+    aff.first = static_cast<int32_t>(terms_.size());
+    std::vector<std::pair<int, int64_t>> slot_terms;
     for (const auto& [slot, coeff] : e.terms) {
-      RTerm rt;
       auto it = var_local_.find(slot);
       if (it != var_local_.end()) {
-        rt.src = it->second;
-        rt.is_local = 1;
+        terms_.push_back(RTerm{it->second, 1, coeff});
       } else {
-        rt.src = slot;
+        slot_terms.emplace_back(slot, coeff);
       }
-      rt.coeff = coeff;
-      seg_.terms.push_back(rt);
     }
-    emit(t);
+    if (!slot_terms.empty()) {
+      std::sort(slot_terms.begin(), slot_terms.end());
+      const int64_t sign = slot_terms.front().second < 0 ? -1 : 1;
+      for (auto& term : slot_terms) term.second *= sign;
+      auto [it, fresh] = bases_.try_emplace(std::move(slot_terms), 0);
+      if (fresh) it->second = alloc_local();
+      terms_.push_back(RTerm{it->second, 1, sign});
+    }
+    aff.count = static_cast<int32_t>(terms_.size()) - aff.first;
+    affines_.push_back(aff);
+    return static_cast<int32_t>(affines_.size() - 1);
   }
 
   /// local[dst] = bound.eval_max / eval_min (lb takes the max of its
   /// terms, ub the min — the interpreter's iteration contract).
   void bound(const CBound& b, int dst, bool take_max) {
-    affine(b.terms[0], dst);
+    TIns t;
+    t.op = TIns::Op::kAffine;
+    t.a = dst;
+    t.b = affine(b.terms[0]);
+    emit(t);
     for (size_t i = 1; i < b.terms.size(); ++i) {
-      affine(b.terms[i], 0);
-      TIns t;
       t.op = take_max ? TIns::Op::kMax : TIns::Op::kMin;
-      t.a = dst;
-      t.b = 0;
+      t.b = affine(b.terms[i]);
       emit(t);
     }
   }
@@ -118,6 +152,16 @@ class SegmentBuilder {
     return Status::ok();
   }
 
+  /// A load or store of `r`: the access carries its own index affines.
+  TIns access(TIns::Op op, const CRef& r) {
+    TIns t;
+    t.op = op;
+    t.a = r.array;
+    t.b = affine(r.row);
+    t.c = affine(r.col);
+    return t;
+  }
+
   Status assign(const CNode& n) {
     int depth = 0;
     for (const COp& op : n.tape) {
@@ -128,17 +172,11 @@ class SegmentBuilder {
           t.fimm = op.constant;
           OA_RETURN_IF_ERROR(push(depth));
           break;
-        case COp::Kind::kLoad: {
-          const CRef& r = n.loads[static_cast<size_t>(op.load)];
-          affine(r.row, 0);
-          affine(r.col, 1);
-          t.op = TIns::Op::kFLoad;
-          t.a = r.array;
-          t.b = 0;
-          t.c = 1;
+        case COp::Kind::kLoad:
+          t = access(TIns::Op::kFLoad,
+                     n.loads[static_cast<size_t>(op.load)]);
           OA_RETURN_IF_ERROR(push(depth));
           break;
-        }
         case COp::Kind::kNeg: t.op = TIns::Op::kFNeg; break;
         case COp::Kind::kAdd: t.op = TIns::Op::kFAdd; --depth; break;
         case COp::Kind::kSub: t.op = TIns::Op::kFSub; --depth; break;
@@ -157,14 +195,8 @@ class SegmentBuilder {
       emit(zero);
     }
     if (depth != 1) return internal_error("unbalanced rhs value tape");
-    affine(n.lhs.row, 0);
-    affine(n.lhs.col, 1);
-    TIns st;
-    st.op = TIns::Op::kFStore;
+    TIns st = access(TIns::Op::kFStore, n.lhs);
     st.mode = static_cast<uint8_t>(n.op);
-    st.a = n.lhs.array;
-    st.b = 0;
-    st.c = 1;
     emit(st);
     return Status::ok();
   }
@@ -177,7 +209,7 @@ class SegmentBuilder {
     const int lub = alloc_local();
     bound(n.lb, lv, /*take_max=*/true);
     bound(n.ub, lub, /*take_max=*/false);
-    const size_t head = seg_.code.size();
+    const size_t head = code_.size();
     TIns exit_t;
     exit_t.op = TIns::Op::kJumpGe;
     exit_t.a = lv;
@@ -204,7 +236,7 @@ class SegmentBuilder {
     back.op = TIns::Op::kJump;
     back.a = static_cast<int32_t>(head);
     emit(back);
-    seg_.code[exit_ip].c = static_cast<int32_t>(seg_.code.size());
+    code_[exit_ip].c = static_cast<int32_t>(code_.size());
     return Status::ok();
   }
 
@@ -216,25 +248,24 @@ class SegmentBuilder {
     }
     std::vector<size_t> fails;
     for (const CPred& p : n.preds) {
-      affine(p.expr, 0);
       TIns t;
       t.op = TIns::Op::kPredJump;
       t.mode = static_cast<uint8_t>(p.op);
-      t.a = 0;
+      t.a = affine(p.expr);
       fails.push_back(emit(t));
     }
     for (const CNode& c : n.then_body) OA_RETURN_IF_ERROR(node(c));
-    size_t else_start = seg_.code.size();
+    size_t else_start = code_.size();
     if (!n.else_body.empty()) {
       TIns skip;
       skip.op = TIns::Op::kJump;
       const size_t skip_ip = emit(skip);
-      else_start = seg_.code.size();
+      else_start = code_.size();
       for (const CNode& c : n.else_body) OA_RETURN_IF_ERROR(node(c));
-      seg_.code[skip_ip].a = static_cast<int32_t>(seg_.code.size());
+      code_[skip_ip].a = static_cast<int32_t>(code_.size());
     }
     for (size_t ip : fails) {
-      seg_.code[ip].c = static_cast<int32_t>(else_start);
+      code_[ip].c = static_cast<int32_t>(else_start);
     }
     return Status::ok();
   }
@@ -251,9 +282,13 @@ class SegmentBuilder {
   }
 
   const CompiledKernel& k_;
-  Segment seg_;
+  std::vector<TIns> code_;        // body, before the slot-base prologue
+  std::vector<TAffine> affines_;
+  std::vector<RTerm> terms_;
   std::map<int, int> var_local_;  // slot -> segment-local loop var
-  int num_locals_ = 2;            // 0/1: address scratch
+  /// Sign-normalised slot-term set -> its slot-base local.
+  std::map<std::vector<std::pair<int, int64_t>>, int> bases_;
+  int num_locals_ = 0;
   int max_stack_ = 0;
 };
 

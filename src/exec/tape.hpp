@@ -17,17 +17,24 @@
 //     indices and enclosing driver loop variables) — the same
 //     precondition __syncthreads() imposes on real hardware. Kernels
 //     that violate it fail lowering and stay on the interpreter.
-//   * per-segment flat *tapes* (TIns): straight-line register-allocated
-//     instructions with explicit jumps for the sync-free loops and
-//     branches inside a segment. A tape runs per lane against the
-//     SysV-ABI frame `(double** arrays, const int64_t* slots)` — the
-//     same program either interpreted (portable executor) or as
-//     JIT-emitted x86-64 (jit_x86.hpp).
+//   * per-segment flat *tapes* (TIns): straight-line instructions with
+//     explicit jumps for the sync-free loops and branches inside a
+//     segment. A tape runs per lane against the SysV-ABI frame
+//     `(double** arrays, const int64_t* slots)` — the same program
+//     either interpreted (portable executor) or as JIT-emitted x86-64
+//     (jit_x86.hpp).
 //
-// Integer scratch lives in tape *locals* (never written back to the
-// slot frame, which stays const per the ABI); floating-point values
-// live on a bounded evaluation stack (gpusim::kMaxTapeDepth), which
-// the JIT maps onto xmm registers.
+// Integer state lives in tape *locals* (never written back to the slot
+// frame, which stays const per the ABI): loop variables, hoisted loop
+// limits, and the *slot bases* — the slot-only part of the segment's
+// index expressions, computed once at segment entry (the frame is
+// constant for the whole call), one local per distinct term set. Every
+// index, bound and predicate is an affine (TAffine) over those locals,
+// evaluated where it is used; loads and stores carry their row and col
+// affines themselves, so an access indexed by a loop variable reads
+// the variable directly. Floating-point values live on a bounded
+// evaluation stack (gpusim::kMaxTapeDepth), which the JIT maps onto
+// xmm registers.
 #pragma once
 
 #include <cstdint>
@@ -46,25 +53,33 @@ struct RTerm {
   int64_t coeff = 0;
 };
 
-/// One tape instruction. Integer operands name tape locals (`a`, `b`,
-/// `c` per op comment); jumps hold absolute instruction indices.
+/// Affine integer expression: imm + sum(terms[first .. first+count)).
+/// Only the segment-entry slot bases read frame slots; every other
+/// affine reads tape locals alone.
+struct TAffine {
+  int64_t imm = 0;
+  int32_t first = 0, count = 0;
+};
+
+/// One tape instruction. `a`/`b`/`c` name tape locals, affines
+/// (Segment::affines), arrays or absolute instruction indices, per op.
 struct TIns {
   enum class Op : uint8_t {
-    kAffine,    // local[a] = imm + sum(terms[b .. b+c))
-    kMin,       // local[a] = min(local[a], local[b])
-    kMax,       // local[a] = max(local[a], local[b])
+    kAffine,    // local[a] = aff[b]
+    kMin,       // local[a] = min(local[a], aff[b])
+    kMax,       // local[a] = max(local[a], aff[b])
     kAddImm,    // local[a] += imm
     kJump,      // ip = a
     kJumpGe,    // if (local[a] >= local[b]) ip = c     (loop exit)
-    kPredJump,  // if (!(local[a] <mode> 0)) ip = c     (failed guard)
+    kPredJump,  // if (!(aff[a] <mode> 0)) ip = c       (failed guard)
     kFConst,    // push fimm
-    kFLoad,     // push arrays[a][local[b] + local[c]*ld]   (checked)
+    kFLoad,     // push arrays[a][aff[b] + aff[c]*ld]   (checked)
     kFNeg,      // top = -top
     kFAdd,      // binop: pop rhs, combine into new top
     kFSub,
     kFMul,
     kFDiv,
-    kFStore,    // pop value -> arrays[a][local[b], local[c]] via <mode>
+    kFStore,    // pop value -> arrays[a][aff[b], aff[c]] via <mode>
     kRet,       // end of segment
   };
   Op op = Op::kRet;
@@ -75,10 +90,14 @@ struct TIns {
   double fimm = 0.0;
 };
 
-/// One sync-free tape, executed whole per lane.
+/// One sync-free tape, executed whole per lane. Loops have one shape:
+///   [lv = lb; limit = ub]  head: kJumpGe lv, limit -> exit
+///   body                   kAddImm lv, step;  kJump head;  exit:
+/// with lv and limit written nowhere else.
 struct Segment {
   std::vector<TIns> code;
-  /// Side table the kAffine ops index into (shared per segment).
+  /// Side tables: the affines ops index into, and their terms.
+  std::vector<TAffine> affines;
   std::vector<RTerm> terms;
   int num_locals = 0;
   /// Static maximum FP-stack depth (<= gpusim::kMaxTapeDepth).

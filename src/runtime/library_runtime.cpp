@@ -288,9 +288,19 @@ void LibraryRuntime::prewarm(const DispatchSnapshot& snap) const {
 
 template <typename Execute, typename Reference>
 StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
-    const DispatchSnapshot& snap, const Dispatch& d, const Variant& v,
-    double start_us, const Execute& execute,
-    const Reference& reference) const {
+    const blas3::CallShape& shape, const Variant& v, double start_us,
+    const Execute& execute, const Reference& reference) const {
+  // One snapshot pin for the whole request: dispatch, execution and
+  // fallbacks all resolve against the same immutable table, however
+  // many hot reloads land meanwhile. The thread-local pin stays put
+  // for the whole serve (this thread only refreshes it on its next
+  // request).
+  const DispatchSnapshot& snap = *pinned();
+  // An empty call has no work for a kernel, and the tuned and baseline
+  // kernels would only refuse it: the reference answers it.
+  const bool kernels = !shape.empty();
+  const Dispatch d =
+      kernels ? dispatch_on(snap, v, shape.dispatch_size()) : Dispatch{};
   // Whole-call latency lands in the histogram of the *final* outcome,
   // so p99 per path answers "what does a request cost when it ends up
   // here" — including the failed attempts before it.
@@ -326,7 +336,7 @@ StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
                      << "), falling back";
   }
 
-  if (options_.baseline_fallback) {
+  if (kernels && options_.baseline_fallback) {
     const ir::Program* base = snap.baseline(variant_code(v));
     if (base != nullptr) {
       Status served = execute(*base, no_bool_params());
@@ -381,13 +391,6 @@ StatusOr<DispatchOutcome> LibraryRuntime::run(const Variant& v,
     return reject(bad, start_us);
   }
 
-  // One snapshot pin for the whole request: dispatch, execution and
-  // fallbacks all resolve against the same immutable table, however
-  // many hot reloads land meanwhile. The thread-local pin stays put
-  // for the whole serve (this thread only refreshes it on its next
-  // request).
-  const DispatchSnapshot& snap = *pinned();
-  const Dispatch d = dispatch_on(snap, v, shape.dispatch_size());
   auto execute = [&](const ir::Program& program,
                      const std::map<std::string, bool>& bools) {
     return native_first(
@@ -410,7 +413,7 @@ StatusOr<DispatchOutcome> LibraryRuntime::run(const Variant& v,
       blas3::run_reference(v, a, b, c);
     }
   };
-  return serve_with(snap, d, v, start_us, execute, reference);
+  return serve_with(shape, v, start_us, execute, reference);
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::serve(const Variant& v,
@@ -440,11 +443,9 @@ StatusOr<DispatchOutcome> LibraryRuntime::run_batched(
     return reject(bad, start_us);
   }
 
-  // One pin, one member-size dispatch for the whole batch; the batched
-  // variant has its own code, so tuned batched entries never collide
-  // with single-GEMM ones.
-  const DispatchSnapshot& snap = *pinned();
-  const Dispatch d = dispatch_on(snap, v, shape.dispatch_size());
+  // One member-size dispatch for the whole batch; the batched variant
+  // has its own code, so tuned batched entries never collide with
+  // single-GEMM ones.
   auto execute = [&](const ir::Program& program,
                      const std::map<std::string, bool>& bools) {
     return native_first(
@@ -459,7 +460,7 @@ StatusOr<DispatchOutcome> LibraryRuntime::run_batched(
       blas3::run_reference(v, a[i], b[i], &(*c)[i]);
     }
   };
-  return serve_with(snap, d, v, start_us, execute, reference);
+  return serve_with(shape, v, start_us, execute, reference);
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::serve_batched(

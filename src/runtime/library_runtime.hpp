@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "blas3/call_shape.hpp"
 #include "blas3/matrix.hpp"
 #include "blas3/routine.hpp"
 #include "exec/executor.hpp"
@@ -279,15 +280,16 @@ class LibraryRuntime {
   Dispatch dispatch_on(const DispatchSnapshot& snap,
                        const blas3::Variant& v, int64_t n) const;
 
-  /// The serving tail shared by run() and run_batched(): run the
-  /// dispatched program, walk the fallback chain (baseline program,
-  /// then CPU reference), settle counters and the latency histogram of
-  /// the final outcome. `execute(program, bool_params)` runs one
-  /// program on the call's operands; `reference()` answers the call on
-  /// the CPU. `start_us` is when the request entered the runtime.
+  /// The serving tail shared by run() and run_batched() for a
+  /// validated call: dispatch on one snapshot pin, run the dispatched
+  /// program, walk the fallback chain (baseline program, then CPU
+  /// reference), settle counters and the latency histogram of the
+  /// final outcome. An empty call (CallShape::empty) goes straight to
+  /// the reference. `execute(program, bool_params)` runs one program
+  /// on the call's operands; `reference()` answers the call on the
+  /// CPU. `start_us` is when the request entered the runtime.
   template <typename Execute, typename Reference>
-  StatusOr<DispatchOutcome> serve_with(const DispatchSnapshot& snap,
-                                       const Dispatch& d,
+  StatusOr<DispatchOutcome> serve_with(const blas3::CallShape& shape,
                                        const blas3::Variant& v,
                                        double start_us,
                                        const Execute& execute,

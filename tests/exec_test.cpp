@@ -5,9 +5,13 @@
 // accumulation tolerance — and the JIT and the portable tape executor
 // must agree bit-for-bit, since they implement the same segment ABI.
 // Also covers the cache-keying regressions (f32/f64 must not alias),
-// the W^X/JIT-unavailable fallback path, and warm re-serve (zero
-// recompiles on a second execution).
+// the W^X/JIT-unavailable fallback path, warm re-serve (zero
+// recompiles on a second execution), and hand-built kernels that hold
+// the JIT's loop proofs, register allocation and load hoisting to the
+// interpreter's statuses and bits.
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "baseline/baseline.hpp"
 #include "blas3/matrix.hpp"
@@ -19,8 +23,10 @@
 #include "exec/code_buffer.hpp"
 #include "exec/executor.hpp"
 #include "exec/jit_x86.hpp"
+#include "gpusim/block_sim.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/simulator.hpp"
+#include "support/precision.hpp"
 #include "support/rng.hpp"
 #include "transforms/transform.hpp"
 
@@ -144,22 +150,65 @@ TEST_P(ExecAllVariants, MatchesReferenceAllSchedules) {
   }
 }
 
+/// Runs `p` natively on seeded operands of an M x N output (K deep for
+/// GEMM) in the variant's layout and returns the output.
+Status run_rect(const blas3::Variant& v, const ir::Program& p, int64_t m,
+                int64_t n, int64_t k, ExecCache& cache, blas3::Matrix* out,
+                const ExecOptions& options) {
+  const Precision prec = v.precision;
+  const bool gemm = v.family == blas3::Family::kGemm;
+  const int64_t side = v.side == blas3::Side::kLeft ? m : n;
+  blas3::Matrix a = gemm ? (v.trans_a == blas3::Trans::kN
+                                ? blas3::Matrix(m, k, prec)
+                                : blas3::Matrix(k, m, prec))
+                         : blas3::Matrix(side, side, prec);
+  blas3::Matrix b = gemm && v.trans_b == blas3::Trans::kT
+                        ? blas3::Matrix(n, k, prec)
+                        : blas3::Matrix(gemm ? k : m, n, prec);
+  blas3::Matrix c(m, n, prec);
+  Rng rng(0x7EC7);
+  a.fill_random(rng);
+  b.fill_random(rng);
+  if (!gemm) a.make_triangular(v.uplo);
+  if (v.family == blas3::Family::kTrsm) {
+    a.set_unit_diagonal();
+    a.scale_off_diagonal(1.0 / 16.0);
+  }
+  OA_RETURN_IF_ERROR(execute_program(gpusim::gtx285(), p, v, a, b, &c, {},
+                                     cache, options));
+  *out = v.family == blas3::Family::kTrsm ? b : c;
+  return Status::ok();
+}
+
 TEST_P(ExecAllVariants, JitAndPortableBitIdentical) {
+  // Every schedule at a square tile-multiple size and at a rectangular
+  // one that is not, so boundary tiles run the checked loops and
+  // interior tiles the proven ones.
   const blas3::Variant v = GetParam();
-  const int64_t n = 64;
-  const Problem prob(v, n);
-  const ir::Program p = tuned_program(v);
+  std::vector<std::pair<std::string, ir::Program>> programs;
+  programs.emplace_back("source", blas3::make_source_program(v));
+  programs.emplace_back("tuned", tuned_program(v));
+  auto base = baseline::cublas_like(v, gpusim::gtx285());
+  ASSERT_TRUE(base.is_ok()) << base.status().to_string();
+  programs.emplace_back("baseline", std::move(*base));
 
   ExecCache cache;
-  blas3::Matrix jit_out(n, n, v.precision);
-  ASSERT_TRUE(run_native(v, p, prob, cache, &jit_out).is_ok());
-  blas3::Matrix tape_out(n, n, v.precision);
   ExecOptions portable;
   portable.force_portable = true;
-  ASSERT_TRUE(
-      run_native(v, p, prob, cache, &tape_out, portable).is_ok());
-  EXPECT_EQ(blas3::max_abs_diff(jit_out, tape_out), 0.0)
-      << "JIT and portable executor disagree";
+  for (const auto& [label, p] : programs) {
+    for (const auto& [m, n, k] : {std::tuple<int64_t, int64_t, int64_t>{
+                                      64, 64, 64},
+                                  {75, 53, 41}}) {
+      blas3::Matrix jit_out, tape_out;
+      Status s = run_rect(v, p, m, n, k, cache, &jit_out, {});
+      ASSERT_TRUE(s.is_ok()) << label << ": " << s.to_string();
+      s = run_rect(v, p, m, n, k, cache, &tape_out, portable);
+      ASSERT_TRUE(s.is_ok()) << label << ": " << s.to_string();
+      EXPECT_EQ(blas3::max_abs_diff(jit_out, tape_out), 0.0)
+          << label << " at " << m << "x" << n << "x" << k
+          << ": JIT and portable executor disagree";
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -251,6 +300,148 @@ TEST(ExecFallbackTest, CodeBufferRejectsEmptyInput) {
   EXPECT_FALSE(buf.is_ok());
 }
 
+// ---- Hand-built kernels -------------------------------------------
+//
+// Single-block, single-lane CompiledKernels over explicit arrays, run
+// by the interpreter (gpusim::BlockSim, functional), the JIT and the
+// portable executor on identical buffers.
+
+gpusim::CExpr affine(int64_t constant,
+                     std::vector<std::pair<int, int64_t>> terms = {}) {
+  gpusim::CExpr e;
+  e.constant = constant;
+  e.terms = std::move(terms);
+  return e;
+}
+
+gpusim::CExpr var(int slot) { return affine(0, {{slot, 1}}); }
+
+gpusim::CRef ref(int array, gpusim::CExpr row, gpusim::CExpr col) {
+  gpusim::CRef r;
+  r.array = array;
+  r.row = std::move(row);
+  r.col = std::move(col);
+  return r;
+}
+
+gpusim::CNode loop(int slot, gpusim::CExpr lb, gpusim::CExpr ub,
+                   std::vector<gpusim::CNode> body, int64_t step = 1) {
+  gpusim::CNode n;
+  n.kind = gpusim::CNode::Kind::kLoop;
+  n.var_slot = slot;
+  n.step = step;
+  n.lb.terms.push_back(std::move(lb));
+  n.ub.terms.push_back(std::move(ub));
+  n.body = std::move(body);
+  return n;
+}
+
+/// lhs <op> rhs, where rhs is a postfix tape over `loads`.
+gpusim::CNode assign(gpusim::CRef lhs, ir::AssignOp op,
+                     std::vector<gpusim::CRef> loads,
+                     std::vector<gpusim::COp::Kind> tape) {
+  gpusim::CNode n;
+  n.kind = gpusim::CNode::Kind::kAssign;
+  n.lhs = std::move(lhs);
+  n.op = op;
+  n.rmw_load = op != ir::AssignOp::kAssign;
+  int next_load = 0, depth = 0;
+  for (gpusim::COp::Kind k : tape) {
+    gpusim::COp c;
+    c.kind = k;
+    if (k == gpusim::COp::Kind::kConst) c.constant = 1.0;
+    if (k == gpusim::COp::Kind::kLoad) c.load = next_load++;
+    depth += (k == gpusim::COp::Kind::kConst ||
+              k == gpusim::COp::Kind::kLoad) ? 1
+             : k == gpusim::COp::Kind::kNeg ? 0 : -1;
+    n.tape_depth = std::max(n.tape_depth, depth);
+    n.tape.push_back(c);
+  }
+  n.loads = std::move(loads);
+  return n;
+}
+
+gpusim::CompiledKernel probe_kernel(
+    Precision precision, int num_slots,
+    const std::vector<std::pair<std::string, int64_t>>& square_arrays,
+    std::vector<gpusim::CNode> body) {
+  gpusim::CompiledKernel ck;
+  ck.name = "probe";
+  ck.precision = precision;
+  ck.launch.grid_x = 1;
+  ck.launch.grid_y = 1;
+  ck.launch.block_x = 1;
+  ck.launch.block_y = 1;
+  for (const auto& [name, n] : square_arrays) {
+    gpusim::CArray arr;
+    arr.name = name;
+    arr.space = ir::MemSpace::kGlobal;
+    arr.rows = n;
+    arr.cols = n;
+    arr.ld = n;
+    arr.elements = n * n;
+    ck.arrays.push_back(arr);
+  }
+  ck.num_slots = num_slots;
+  ck.body = std::move(body);
+  // The interpreter's load-reuse model indexes by reference site.
+  auto number_sites = [&ck](auto& self, std::vector<gpusim::CNode>& nodes)
+      -> void {
+    for (gpusim::CNode& n : nodes) {
+      n.lhs.site = ck.num_sites++;
+      for (gpusim::CRef& r : n.loads) r.site = ck.num_sites++;
+      self(self, n.body);
+    }
+  };
+  number_sites(number_sites, ck.body);
+  return ck;
+}
+
+/// Seeded inputs for every array of `ck`.
+gpusim::GlobalBuffers probe_buffers(const gpusim::CompiledKernel& ck) {
+  gpusim::GlobalBuffers buffers;
+  Rng rng(0x5EED);
+  for (const gpusim::CArray& a : ck.arrays) {
+    std::vector<double>& buf =
+        buffers.data[a.name] = std::vector<double>(
+            static_cast<size_t>(a.elements), 0.0);
+    rng.fill(std::span<double>(buf));
+    for (double& x : buf) x = round_to(ck.precision, x);
+  }
+  return buffers;
+}
+
+/// Runs `ck` on the interpreter, then the JIT and the portable
+/// executor on copies of the same inputs: all three must end with the
+/// same status message and bit-identical buffers (partial writes
+/// included when the kernel faults). Returns the interpreter's status.
+Status expect_backends_agree(const gpusim::CompiledKernel& ck) {
+  const gpusim::GlobalBuffers inputs = probe_buffers(ck);
+  gpusim::GlobalBuffers want = inputs;
+  gpusim::BlockSim interp(ck, gpusim::gtx285(), /*functional=*/true, &want);
+  gpusim::Counters counters;
+  const Status interp_status = interp.run(0, 0, 0, 1, counters);
+  for (const bool force_portable : {false, true}) {
+    const char* label = force_portable ? "portable" : "jit";
+    ExecCache cache;
+    ExecOptions options;
+    options.force_portable = force_portable;
+    auto ek = cache.get_or_compile(ck, options);
+    EXPECT_TRUE(ek.is_ok()) << ek.status().to_string();
+    if (!ek.is_ok()) continue;
+    EXPECT_EQ((*ek)->jit, !force_portable && jit_supported()) << label;
+    gpusim::GlobalBuffers got = inputs;
+    const Status s = run_lowered(**ek, got, /*count=*/1, nullptr);
+    EXPECT_EQ(s.is_ok(), interp_status.is_ok()) << label << ": "
+                                                << s.to_string();
+    EXPECT_EQ(s.message(), interp_status.message()) << label;
+    for (const auto& [name, buf] : want.data) {
+      EXPECT_EQ(got.data[name], buf) << label << ": array " << name;
+    }
+  }
+  return interp_status;
+}
+
 TEST(ExecFallbackTest, OutOfBoundsMatchesInterpreterDiagnostic) {
   // A kernel that indexes past an array must fail with the
   // interpreter's exact out-of-bounds diagnostic, not crash — the
@@ -300,6 +491,114 @@ TEST(ExecFallbackTest, OutOfBoundsMatchesInterpreterDiagnostic) {
                   "out-of-bounds access to A: (10, 0) not in 4x4"),
               std::string::npos)
         << s.to_string();
+  }
+}
+
+TEST(ExecFallbackTest, FaultOnTheLastTripMatchesInterpreter) {
+  // The same 4x4 probe inside `for r in [0, 5)`: A[r][0] = A[r][1] + 1
+  // is in range on every trip but the last, so the entry proof fails
+  // and the checked loop must fault exactly where the interpreter does,
+  // after the same four partial writes. The [0, 4) twin is proven in
+  // range and runs unchecked — to the same result. With step 3, the
+  // last trip of [0, 7) is r = 6 (faults) and of [0, 6) r = 3 (proven).
+  using K = gpusim::COp::Kind;
+  struct Probe {
+    int64_t limit, step;
+    const char* fault;  // expected diagnostic, or null
+  };
+  const Probe probes[] = {
+      {5, 1, "out-of-bounds access to A: (4, 1) not in 4x4"},
+      {4, 1, nullptr},
+      {7, 3, "out-of-bounds access to A: (6, 1) not in 4x4"},
+      {6, 3, nullptr},
+  };
+  for (const Probe& probe : probes) {
+    std::vector<gpusim::CNode> inner;
+    inner.push_back(assign(ref(0, var(0), affine(0)), ir::AssignOp::kAssign,
+                           {ref(0, var(0), affine(1))},
+                           {K::kLoad, K::kConst, K::kAdd}));
+    std::vector<gpusim::CNode> body;
+    body.push_back(loop(0, affine(0), affine(probe.limit), std::move(inner),
+                        probe.step));
+    const gpusim::CompiledKernel ck =
+        probe_kernel(Precision::kF32, 1, {{"A", 4}}, std::move(body));
+    const Status s = expect_backends_agree(ck);
+    if (probe.fault != nullptr) {
+      EXPECT_NE(s.message().find(probe.fault), std::string::npos)
+          << s.to_string();
+    } else {
+      EXPECT_TRUE(s.is_ok()) << s.to_string();
+    }
+  }
+}
+
+TEST(ExecFallbackTest, MoreLiveLocalsThanRegisters) {
+  // Six nested loops keep twelve locals (a variable and a hoisted
+  // limit each) live in the innermost one — more than the JIT's seven
+  // allocatable registers, so some stay in the stack frame — plus a
+  // slot base. Five access shapes need more pointer registers than
+  // the proven loop has left, so one pointer lives in a stack slot.
+  // The two inner loops step by 2 and 3, so the proof's last trip and
+  // the pointers' strides scale with the step.
+  using K = gpusim::COp::Kind;
+  for (const Precision p : {Precision::kF32, Precision::kF64}) {
+    // With r = i0 + 2*i1 + 4*i2 and c = i3 + 2*i4 + 4*i5 + s6:
+    //   C[r][c] += A[r+1][c] * B[r][c+1] + A[c][r] * B[c+1][r]
+    auto row = [](int64_t c) {
+      return affine(c, {{0, 1}, {1, 2}, {2, 4}});
+    };
+    auto col = [](int64_t c) {
+      return affine(c, {{3, 1}, {4, 2}, {5, 4}, {6, 1}});
+    };
+    std::vector<gpusim::CNode> body;
+    body.push_back(assign(
+        ref(2, row(0), col(0)), ir::AssignOp::kAddAssign,
+        {ref(0, row(1), col(0)), ref(1, row(0), col(1)),
+         ref(0, col(0), row(0)), ref(1, col(1), row(0))},
+        {K::kLoad, K::kLoad, K::kMul, K::kLoad, K::kLoad, K::kMul,
+         K::kAdd}));
+    // (trip limit, step) per slot, innermost last: i4 in {0, 2, 4},
+    // i5 in {0, 3, 6}.
+    const std::pair<int64_t, int64_t> trips[] = {{2, 1}, {2, 1}, {2, 1},
+                                                 {2, 1}, {5, 2}, {7, 3}};
+    for (int slot = 5; slot >= 0; --slot) {
+      std::vector<gpusim::CNode> wrap;
+      wrap.push_back(std::move(body.back()));
+      body.clear();
+      body.push_back(loop(slot, affine(0), affine(trips[slot].first),
+                          std::move(wrap), trips[slot].second));
+    }
+    gpusim::CompiledKernel ck = probe_kernel(
+        p, 7, {{"A", 36}, {"B", 36}, {"C", 36}}, std::move(body));
+    // Slot 6 is a frame slot (0) the loops never write: a slot base.
+    const Status s = expect_backends_agree(ck);
+    EXPECT_TRUE(s.is_ok()) << s.to_string();
+  }
+}
+
+TEST(ExecFallbackTest, LoopStoringTheArrayItLoads) {
+  // An in-place TRSM-style update: for k in [0, i),
+  //   B[i][j] = B[i][j] - A[i][k] * B[k][j].
+  // B[i][j] is loop-invariant in k but B is stored every trip, so the
+  // load must not be hoisted out of the proven loop.
+  using K = gpusim::COp::Kind;
+  for (const Precision p : {Precision::kF32, Precision::kF64}) {
+    std::vector<gpusim::CNode> k_body;
+    k_body.push_back(assign(
+        ref(1, var(0), var(1)), ir::AssignOp::kAssign,
+        {ref(1, var(0), var(1)), ref(0, var(0), var(2)),
+         ref(1, var(2), var(1))},
+        {K::kLoad, K::kLoad, K::kLoad, K::kMul, K::kSub}));
+    std::vector<gpusim::CNode> j_body;
+    j_body.push_back(loop(2, affine(0), var(0), std::move(k_body)));
+    std::vector<gpusim::CNode> i_body;
+    i_body.push_back(loop(1, affine(0), affine(6), std::move(j_body)));
+    std::vector<gpusim::CNode> body;
+    body.push_back(loop(0, affine(0), affine(6), std::move(i_body)));
+    const gpusim::CompiledKernel ck =
+        probe_kernel(p, 3, {{"A", 6}, {"B", 6}}, std::move(body));
+    const Status s = expect_backends_agree(ck);
+    EXPECT_TRUE(s.is_ok()) << s.to_string();
   }
 }
 

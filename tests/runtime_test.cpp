@@ -300,6 +300,75 @@ TEST(LibraryRuntime, RejectsInconsistentOperands) {
   EXPECT_EQ(stats.baseline_fallbacks, 0u);
 }
 
+TEST(LibraryRuntime, EmptyCallsGoStraightToTheReference) {
+  // A call with M, N or K = 0 holds no work for a kernel; the tuned and
+  // baseline kernels would only refuse it (a degenerate launch or
+  // array), so it must be answered by the reference without a single
+  // kernel error or native fallback — bit-for-bit the reference's
+  // output.
+  struct Probe {
+    const char* variant;
+    int64_t ar, ac, br, bc;  // C matches the output: M x N
+  };
+  const Probe probes[] = {
+      {"GEMM-NN", 0, 5, 5, 7},   // M = 0
+      {"GEMM-NN", 5, 0, 0, 7},   // K = 0 (C is left as it was)
+      {"GEMM-NN", 5, 5, 5, 0},   // N = 0
+      {"SYMM-LL", 0, 0, 0, 6},   // M = 0
+      {"TRMM-LL-N", 6, 6, 6, 0},  // N = 0
+      {"TRSM-LL-N", 0, 0, 0, 4},  // M = 0
+  };
+  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact());
+  Rng rng(0xE0);
+  uint64_t calls = 0;
+  for (const Probe& p : probes) {
+    const Variant& v = *blas3::find_variant(p.variant);
+    const bool gemm = v.family == blas3::Family::kGemm;
+    blas3::Matrix a(p.ar, p.ac), b(p.br, p.bc);
+    blas3::Matrix c(gemm ? p.ar : p.br, p.bc);
+    a.fill_random(rng);
+    b.fill_random(rng);
+    c.fill_random(rng);
+    for (bool serve : {false, true}) {
+      blas3::Matrix rb = b, rc = c, want_b = b, want_c = c;
+      blas3::run_reference(v, a, want_b, &want_c);
+      auto outcome = serve ? rt.serve(v, a, rb, &rc) : rt.run(v, a, rb, &rc);
+      ++calls;
+      ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+      EXPECT_EQ(*outcome, DispatchOutcome::kFallbackReference)
+          << p.variant << ": " << runtime::outcome_name(*outcome);
+      EXPECT_EQ(blas3::max_abs_diff(rb, want_b), 0.0) << p.variant;
+      EXPECT_EQ(blas3::max_abs_diff(rc, want_c), 0.0) << p.variant;
+    }
+  }
+
+  // Batched: two members with K = 0.
+  const Variant& batched = *blas3::find_variant("GEMM_BATCHED-NN");
+  std::vector<blas3::Matrix> a(2, blas3::Matrix(4, 0));
+  std::vector<blas3::Matrix> b(2, blas3::Matrix(0, 4));
+  std::vector<blas3::Matrix> c(2, blas3::Matrix(4, 4));
+  for (blas3::Matrix& m : c) m.fill_random(rng);
+  for (bool serve : {false, true}) {
+    std::vector<blas3::Matrix> rb = b, rc = c;
+    auto outcome = serve ? rt.serve_batched(batched, a, rb, &rc)
+                         : rt.run_batched(batched, a, rb, &rc);
+    ++calls;
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    EXPECT_EQ(*outcome, DispatchOutcome::kFallbackReference);
+    for (size_t i = 0; i < c.size(); ++i) {
+      blas3::Matrix want_b = b[i], want_c = c[i];
+      blas3::run_reference(batched, a[i], want_b, &want_c);
+      EXPECT_EQ(blas3::max_abs_diff(rc[i], want_c), 0.0);
+    }
+  }
+
+  const runtime::DispatchStats stats = rt.stats();
+  EXPECT_EQ(stats.reference_fallbacks, calls);
+  EXPECT_EQ(stats.recovered_errors, 0u);
+  EXPECT_EQ(stats.native_fallbacks, 0u);
+  EXPECT_EQ(stats.failed_requests, 0u);
+}
+
 TEST(LibraryRuntime, MissFallsBackToTheBaselineCorrectly) {
   LibraryRuntime rt(gpusim::gtx285(), gemm_artifact());
   // Routines the artifact does not cover.
