@@ -14,12 +14,15 @@
 // For tuned GEMM-NN and DGEMM-NN it reports ms/run and
 // GFLOP-equivalent throughput (2*M*N*K per run) for each backend, the
 // speedup, the max |diff| between the two results (must be within the
-// accumulation tolerance; bit-equal on race-free kernels), and the
-// exec-cache counters proving that warm re-execution compiles nothing.
+// accumulation tolerance; bit-equal on race-free kernels), the
+// exec-cache counters proving that warm re-execution compiles nothing,
+// and the loops its kernels run four trips at a time (vector_loops;
+// the JSON also records the host's thread count and AVX2 flag).
 //
 // Results land in BENCH_exec.json (schema-checked and uploaded by the
-// CI tier-1 lane, which asserts native >= 12x interpreter on tuned
-// GEMM-NN and warm_recompiles == 0).
+// CI tier-1 lane, which asserts native >= 17x interpreter on tuned
+// GEMM-NN on AVX2 hosts and >= 12x elsewhere, vector loops in GEMM-NN
+// on AVX2 hosts, and warm_recompiles == 0).
 //
 // A third, batched row times tuned GEMM_BATCHED-NN at batch=256 with
 // 64x64 members: the fused native batched path (one run_batched) vs
@@ -31,6 +34,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/evaluation_engine.hpp"
@@ -65,6 +69,7 @@ struct Row {
   int64_t cache_hits = 0;
   int64_t jit_kernels = 0;
   int64_t portable_kernels = 0;
+  int64_t vector_loops = 0;      // four-trip loop copies in its kernels
 };
 
 Row bench_variant(const gpusim::Simulator& sim,
@@ -103,6 +108,7 @@ Row bench_variant(const gpusim::Simulator& sim,
   // Native: the first run compiles + lowers (cold). Everything after
   // it must be pure cache hits — `warm_recompiles` proves it.
   Matrix nb = b, nc = c;
+  const int64_t vector_before = cache.stats().vector_loops;
   Status native = exec::execute_program(sim.device(), entry.program, v,
                                         a, nb, &nc, entry.bool_params,
                                         cache);
@@ -111,6 +117,7 @@ Row bench_variant(const gpusim::Simulator& sim,
                  v.name().c_str(), native.to_string().c_str());
     std::exit(1);
   }
+  row.vector_loops = cache.stats().vector_loops - vector_before;
   const int64_t compiles_before = cache.stats().compiles;
   t0 = obs::now_us();
   for (int r = 0; r < native_reps; ++r) {
@@ -140,11 +147,13 @@ Row bench_variant(const gpusim::Simulator& sim,
 
   std::printf(
       "%-10s n=%-4lld interp %9.2f ms (%6.2f GF)  native %7.3f ms "
-      "(%7.2f GF)  speedup %6.1fx  diff=%g%s  warm_recompiles=%lld\n",
+      "(%7.2f GF)  speedup %6.1fx  diff=%g%s  warm_recompiles=%lld  "
+      "vector_loops=%lld\n",
       v.name().c_str(), static_cast<long long>(n), row.interp_ms,
       row.interp_gflops, row.native_ms, row.native_gflops, row.speedup,
       row.max_abs_diff, row.within_tolerance ? "" : "  OFF-TOLERANCE",
-      static_cast<long long>(row.warm_recompiles));
+      static_cast<long long>(row.warm_recompiles),
+      static_cast<long long>(row.vector_loops));
   return row;
 }
 
@@ -208,6 +217,7 @@ Row bench_batched(const gpusim::Simulator& sim,
   // Fused leg: everything after the (already warm) first run must be
   // cache hits.
   std::vector<Matrix> nb = b, nc = c;
+  const int64_t vector_before = cache.stats().vector_loops;
   Status fused = exec::execute_batched(sim.device(), entry.program, v, a,
                                        nb, &nc, entry.bool_params, cache);
   if (!fused.is_ok()) {
@@ -215,6 +225,7 @@ Row bench_batched(const gpusim::Simulator& sim,
                  v.name().c_str(), fused.to_string().c_str());
     std::exit(1);
   }
+  row.vector_loops = cache.stats().vector_loops - vector_before;
   const int64_t compiles_before = cache.stats().compiles;
   t0 = obs::now_us();
   for (int r = 0; r < fused_reps; ++r) {
@@ -251,12 +262,13 @@ Row bench_batched(const gpusim::Simulator& sim,
   std::printf(
       "%-10s n=%-4lld batch=%-4lld per-member %9.2f ms (%6.2f GF)  "
       "fused %7.3f ms (%7.2f GF)  speedup %6.1fx  diff=%g%s  "
-      "warm_recompiles=%lld\n",
+      "warm_recompiles=%lld  vector_loops=%lld\n",
       v.name().c_str(), static_cast<long long>(member_n),
       static_cast<long long>(batch), row.interp_ms, row.interp_gflops,
       row.native_ms, row.native_gflops, row.speedup, row.max_abs_diff,
       row.within_tolerance ? "" : "  OFF-TOLERANCE",
-      static_cast<long long>(row.warm_recompiles));
+      static_cast<long long>(row.warm_recompiles),
+      static_cast<long long>(row.vector_loops));
   return row;
 }
 
@@ -270,8 +282,11 @@ void write_json(const std::string& path, const gpusim::DeviceModel& device,
   }
   std::fprintf(f, "{\n  \"bench\": \"exec_throughput\",\n");
   std::fprintf(f, "  \"device\": \"%s\",\n", device.name.c_str());
+  std::fprintf(f, "  \"hardware_threads\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"jit_supported\": %s,\n",
                exec::jit_supported() ? "true" : "false");
+  std::fprintf(f, "  \"avx2\": %s,\n", exec::jit_avx2() ? "true" : "false");
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -284,12 +299,14 @@ void write_json(const std::string& path, const gpusim::DeviceModel& device,
           "\"per_member_ms_per_run\": %.4f, \"fused_ms_per_run\": %.4f, "
           "\"per_member_gflops\": %.4f, \"fused_gflops\": %.4f, "
           "\"speedup\": %.2f, \"max_abs_diff\": %g, "
-          "\"within_tolerance\": %s, \"warm_recompiles\": %lld}%s\n",
+          "\"within_tolerance\": %s, \"warm_recompiles\": %lld, "
+          "\"vector_loops\": %lld}%s\n",
           r.variant.c_str(), static_cast<long long>(r.n),
           static_cast<long long>(r.batch), r.interp_ms, r.native_ms,
           r.interp_gflops, r.native_gflops, r.speedup, r.max_abs_diff,
           r.within_tolerance ? "true" : "false",
           static_cast<long long>(r.warm_recompiles),
+          static_cast<long long>(r.vector_loops),
           i + 1 < rows.size() ? "," : "");
       continue;
     }
@@ -301,7 +318,8 @@ void write_json(const std::string& path, const gpusim::DeviceModel& device,
         "\"speedup\": %.2f, \"max_abs_diff\": %g, "
         "\"within_tolerance\": %s, \"warm_recompiles\": %lld, "
         "\"cache_compiles\": %lld, \"cache_hits\": %lld, "
-        "\"jit_kernels\": %lld, \"portable_kernels\": %lld}%s\n",
+        "\"jit_kernels\": %lld, \"portable_kernels\": %lld, "
+        "\"vector_loops\": %lld}%s\n",
         r.variant.c_str(), static_cast<long long>(r.n), r.interp_ms,
         r.native_ms, r.interp_gflops, r.native_gflops, r.speedup,
         r.max_abs_diff, r.within_tolerance ? "true" : "false",
@@ -310,6 +328,7 @@ void write_json(const std::string& path, const gpusim::DeviceModel& device,
         static_cast<long long>(r.cache_hits),
         static_cast<long long>(r.jit_kernels),
         static_cast<long long>(r.portable_kernels),
+        static_cast<long long>(r.vector_loops),
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

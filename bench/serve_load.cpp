@@ -3,23 +3,17 @@
 //   $ ./bench/serve_load [--out BENCH_serve.json] [--duration-ms N]
 //                        [--reloads N] [--quick]
 //
-// Four sections, all against one small generated library (both
+// Three sections, all against one small generated library (both
 // precisions):
 //
-//   1. dispatch microbench — pure lookup throughput of the lock-free
-//      snapshot dispatcher vs the pre-refactor design (mutex around a
-//      string-keyed map, per-dispatch bool_params copy), 1..8 client
-//      threads, plus heap allocations per dispatch (the hot-path
-//      micro-fix this bench exists to prove: snapshot dispatch is
-//      allocation-free);
-//   2. closed-loop serve — N client threads issuing a mixed
+//   1. closed-loop serve — N client threads issuing a mixed
 //      f32/f64 request stream through serve() (admission control plus
 //      native execution): QPS, latency percentiles, native serves and
 //      interpreter fallbacks;
-//   3. admission control — the same closed loop against a tight
+//   2. admission control — the same closed loop against a tight
 //      latency SLO and queue bound: shed rate and the accounting
 //      invariant requests == served + shed;
-//   4. swap-under-load — clients hammer run() while another thread
+//   3. swap-under-load — clients hammer run() while another thread
 //      hot-reloads the artifact in a loop: every request must be
 //      answered (zero drops) across >= 100 snapshot republishes.
 //
@@ -30,10 +24,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
-#include <mutex>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,86 +35,12 @@
 #include "support/log.hpp"
 #include "support/rng.hpp"
 
-// --- allocation counter ----------------------------------------------
-// Replacing global new/delete lets the microbench report heap
-// allocations per dispatch; the old design paid one map node per
-// bool_param copied, the snapshot design pays zero.
-static std::atomic<uint64_t> g_allocs{0};
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace oa {
 namespace {
 
 using blas3::Variant;
 using runtime::DispatchOutcome;
-using runtime::DispatchSnapshot;
 using runtime::LibraryRuntime;
-
-/// The pre-refactor dispatcher, preserved as the comparison baseline:
-/// one mutex around a string-keyed index, nearest-bucket resolution on
-/// every call, and a per-dispatch copy of the entry's bool_params —
-/// exactly the costs the DispatchSnapshot design removed. Built over
-/// the same entries the snapshot serves, so both answer identically.
-class LegacyDispatcher {
- public:
-  explicit LegacyDispatcher(const DispatchSnapshot& snap) {
-    for (const DispatchSnapshot::Entry& e : snap.entries()) {
-      index_[e.variant->name()]
-            [LibraryRuntime::size_bucket(e.tuned_size)] = table_.size();
-      table_.push_back(&e);
-    }
-  }
-
-  struct Result {
-    const ir::Program* program = nullptr;
-    std::map<std::string, bool> bool_params;  // the old per-call copy
-    bool hit = false;
-  };
-
-  Result dispatch(const Variant& v, int64_t n) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    Result r;
-    auto it = index_.find(v.name());
-    if (it == index_.end()) return r;
-    const std::map<int, size_t>& buckets = it->second;
-    const int want = LibraryRuntime::size_bucket(n);
-    size_t idx;
-    auto exact = buckets.find(want);
-    if (exact != buckets.end()) {
-      idx = exact->second;
-      r.hit = true;
-    } else {
-      auto lo = buckets.lower_bound(want);
-      if (lo == buckets.end()) {
-        idx = std::prev(lo)->second;
-      } else if (lo == buckets.begin()) {
-        idx = lo->second;
-      } else {
-        auto below = std::prev(lo);
-        idx = (lo->first - want) < (want - below->first) ? lo->second
-                                                         : below->second;
-      }
-    }
-    r.program = &table_[idx]->program;
-    r.bool_params = table_[idx]->bool_params;
-    return r;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::map<int, size_t>> index_;
-  std::vector<const DispatchSnapshot::Entry*> table_;
-};
 
 /// One request of the closed-loop mix.
 struct RequestShape {
@@ -189,115 +105,7 @@ double pct(const obs::Histogram& h, double p) {
   return h.count() == 0 ? 0.0 : h.percentile(p);
 }
 
-// --- section 1: dispatch microbench ----------------------------------
-
-struct DispatchRow {
-  int threads;
-  /// The serving hot path: snapshot pinned once and reused across
-  /// requests (as run()'s thread-local pin does), lookup per request.
-  double snapshot_mops;
-  /// The public dispatch() API: thread-cached pin handed out with
-  /// every Dispatch (one shared_ptr copy per call).
-  double api_mops;
-  double legacy_mops;  // mutex + string map + bool_params copy
-  double speedup;      // snapshot_mops / legacy_mops
-  double api_speedup;  // api_mops / legacy_mops
-};
-
-template <typename DispatchFn>
-double measure_mops(int threads, int64_t ops_per_thread,
-                    const DispatchFn& one_op) {
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> workers;
-  const double t0_barrier = obs::now_us();
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      for (int64_t i = 0; i < ops_per_thread; ++i) {
-        one_op(t, i);
-      }
-    });
-  }
-  while (ready.load() < threads) {
-  }
-  (void)t0_barrier;
-  const double t0 = obs::now_us();
-  go.store(true, std::memory_order_release);
-  for (std::thread& w : workers) w.join();
-  const double us = obs::now_us() - t0;
-  return us > 0 ? static_cast<double>(threads * ops_per_thread) / us
-                : 0.0;
-}
-
-std::vector<DispatchRow> run_dispatch_microbench(
-    const LibraryRuntime& rt, const std::vector<RequestShape>& mix,
-    int64_t ops_per_thread, uint64_t* snapshot_allocs_per_kop,
-    uint64_t* legacy_allocs_per_kop) {
-  std::shared_ptr<const DispatchSnapshot> snap = rt.snapshot();
-  LegacyDispatcher legacy(*snap);
-
-  // Consuming `sink` keeps the optimizer honest in all three loops.
-  std::atomic<uint64_t> sink{0};
-  // The serving hot path exactly as run() executes it: the thread-local
-  // snapshot pin is amortized across requests, each lookup is a
-  // variant-code encode + bit scan + two array loads.
-  auto snapshot_op = [&](int, int64_t i) {
-    const RequestShape& r = mix[static_cast<size_t>(i) % mix.size()];
-    bool exact = false;
-    const DispatchSnapshot::Entry* e =
-        snap->lookup(runtime::variant_code(*r.v),
-                     DispatchSnapshot::size_bucket(r.n), &exact);
-    sink.fetch_add(e != nullptr, std::memory_order_relaxed);
-  };
-  // The public dispatch() API: same lookup plus a pinned shared_ptr
-  // handed to the caller with every Dispatch.
-  auto api_op = [&](int, int64_t i) {
-    const RequestShape& r = mix[static_cast<size_t>(i) % mix.size()];
-    LibraryRuntime::Dispatch d = rt.dispatch(*r.v, r.n);
-    sink.fetch_add(d.program != nullptr, std::memory_order_relaxed);
-  };
-  auto legacy_op = [&](int, int64_t i) {
-    const RequestShape& r = mix[static_cast<size_t>(i) % mix.size()];
-    LegacyDispatcher::Result d = legacy.dispatch(*r.v, r.n);
-    sink.fetch_add(d.program != nullptr, std::memory_order_relaxed);
-  };
-
-  // Allocation cost per 1000 dispatches, measured single-threaded on
-  // the API path (the one that hands anything to a caller).
-  const int64_t kAllocOps = 4096;
-  uint64_t before = g_allocs.load();
-  for (int64_t i = 0; i < kAllocOps; ++i) api_op(0, i);
-  *snapshot_allocs_per_kop =
-      (g_allocs.load() - before) * 1000 / kAllocOps;
-  before = g_allocs.load();
-  for (int64_t i = 0; i < kAllocOps; ++i) legacy_op(0, i);
-  *legacy_allocs_per_kop = (g_allocs.load() - before) * 1000 / kAllocOps;
-
-  std::vector<DispatchRow> rows;
-  for (int threads : {1, 2, 4, 8}) {
-    DispatchRow row;
-    row.threads = threads;
-    row.snapshot_mops = measure_mops(threads, ops_per_thread, snapshot_op);
-    row.api_mops = measure_mops(threads, ops_per_thread, api_op);
-    row.legacy_mops = measure_mops(threads, ops_per_thread, legacy_op);
-    row.speedup =
-        row.legacy_mops > 0 ? row.snapshot_mops / row.legacy_mops : 0.0;
-    row.api_speedup =
-        row.legacy_mops > 0 ? row.api_mops / row.legacy_mops : 0.0;
-    rows.push_back(row);
-    std::printf(
-        "dispatch  threads=%d  snapshot %8.2f Mops/s  api %8.2f Mops/s  "
-        "legacy %8.2f Mops/s  speedup %.2fx (api %.2fx)\n",
-        threads, row.snapshot_mops, row.api_mops, row.legacy_mops,
-        row.speedup, row.api_speedup);
-  }
-  return rows;
-}
-
-// --- sections 2+3: closed-loop serve ---------------------------------
+// --- sections 1+2: closed-loop serve ---------------------------------
 
 struct ServeRow {
   std::string mode;
@@ -398,7 +206,7 @@ ServeRow run_closed_loop(const gpusim::DeviceModel& device,
   return row;
 }
 
-// --- section 4: swap under load --------------------------------------
+// --- section 3: swap under load --------------------------------------
 
 struct SwapResult {
   uint64_t reloads = 0;
@@ -480,9 +288,6 @@ SwapResult run_swap_under_load(const gpusim::DeviceModel& device,
 // --- JSON emission ---------------------------------------------------
 
 void write_json(const std::string& path, const gpusim::DeviceModel& device,
-                const std::vector<DispatchRow>& dispatch,
-                uint64_t snapshot_allocs_per_kop,
-                uint64_t legacy_allocs_per_kop,
                 const std::vector<ServeRow>& serve,
                 const SwapResult& swap) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -494,23 +299,6 @@ void write_json(const std::string& path, const gpusim::DeviceModel& device,
   std::fprintf(f, "  \"device\": \"%s\",\n", device.name.c_str());
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"dispatch_microbench\": {\n");
-  std::fprintf(f, "    \"snapshot_allocs_per_1k_dispatches\": %llu,\n",
-               static_cast<unsigned long long>(snapshot_allocs_per_kop));
-  std::fprintf(f, "    \"legacy_allocs_per_1k_dispatches\": %llu,\n",
-               static_cast<unsigned long long>(legacy_allocs_per_kop));
-  std::fprintf(f, "    \"threads\": [\n");
-  for (size_t i = 0; i < dispatch.size(); ++i) {
-    const DispatchRow& r = dispatch[i];
-    std::fprintf(f,
-                 "      {\"threads\": %d, \"snapshot_mops\": %.3f, "
-                 "\"api_mops\": %.3f, \"legacy_mops\": %.3f, "
-                 "\"speedup\": %.3f, \"api_speedup\": %.3f}%s\n",
-                 r.threads, r.snapshot_mops, r.api_mops, r.legacy_mops,
-                 r.speedup, r.api_speedup,
-                 i + 1 < dispatch.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n  },\n");
   std::fprintf(f, "  \"closed_loop\": [\n");
   for (size_t i = 0; i < serve.size(); ++i) {
     const ServeRow& r = serve[i];
@@ -557,7 +345,6 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_serve.json";
   double duration_ms = 1200.0;
   int reloads = 120;
-  int64_t dispatch_ops = 200000;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -569,7 +356,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--quick") {
       duration_ms = 300.0;
       reloads = 100;
-      dispatch_ops = 50000;
     } else {
       std::printf(
           "usage: serve_load [--out FILE] [--duration-ms N] "
@@ -600,18 +386,7 @@ int main(int argc, char** argv) {
   const std::vector<RequestShape> mix = request_mix();
   const std::vector<PreparedRequest> prepared = prepare_mix(mix);
 
-  // Section 1: pure dispatch throughput, snapshot vs legacy.
-  LibraryRuntime dispatch_rt(device, artifact);
-  uint64_t snapshot_allocs = 0, legacy_allocs = 0;
-  const std::vector<DispatchRow> dispatch_rows = run_dispatch_microbench(
-      dispatch_rt, mix, dispatch_ops, &snapshot_allocs, &legacy_allocs);
-  std::printf(
-      "dispatch  allocations per 1k dispatches: snapshot %llu, legacy "
-      "%llu\n",
-      static_cast<unsigned long long>(snapshot_allocs),
-      static_cast<unsigned long long>(legacy_allocs));
-
-  // Sections 2+3: closed-loop serving.
+  // Sections 1+2: closed-loop serving.
   std::vector<ServeRow> serve_rows;
   for (int clients : {1, 2, 4, 8}) {
     serve_rows.push_back(run_closed_loop(device, artifact, prepared,
@@ -629,12 +404,11 @@ int main(int argc, char** argv) {
                                          ropt));
   }
 
-  // Section 4: hot reloads under load.
+  // Section 3: hot reloads under load.
   const SwapResult swap =
       run_swap_under_load(device, artifact, prepared, 4, reloads);
 
-  write_json(out_path, device, dispatch_rows, snapshot_allocs,
-             legacy_allocs, serve_rows, swap);
+  write_json(out_path, device, serve_rows, swap);
 
   const bool ok = swap.zero_drops &&
                   std::all_of(serve_rows.begin(), serve_rows.end(),

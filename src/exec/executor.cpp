@@ -321,10 +321,14 @@ const ExecCache::Result* ExecCache::find_locked(uint64_t key) {
 
 namespace {
 
-int64_t mapped_bytes(const StatusOr<std::shared_ptr<const ExecutedKernel>>& r) {
-  return r.is_ok() && (*r)->code != nullptr
-             ? static_cast<int64_t>((*r)->code->size())
-             : 0;
+/// Adds (sign 1) or removes (sign -1) a cached result's machine code
+/// from the code_bytes and vector_loops gauges.
+void count_code(ExecStats& stats,
+                const StatusOr<std::shared_ptr<const ExecutedKernel>>& r,
+                int64_t sign) {
+  if (!r.is_ok() || (*r)->code == nullptr) return;
+  stats.code_bytes += sign * static_cast<int64_t>((*r)->code->size());
+  stats.vector_loops += sign * (*r)->vector_loops;
 }
 
 }  // namespace
@@ -333,13 +337,13 @@ const ExecCache::Result& ExecCache::insert_locked(uint64_t key,
                                                   Result result) {
   if (const Result* raced = find_locked(key)) return *raced;
   lru_.push_front(key);
-  stats_.code_bytes += mapped_bytes(result);
+  count_code(stats_, result, 1);
   const Result& stored =
       slots_.emplace(key, Slot{std::move(result), lru_.begin()})
           .first->second.result;
   while (slots_.size() > kCapacity) {
     auto victim = slots_.find(lru_.back());
-    stats_.code_bytes -= mapped_bytes(victim->second.result);
+    count_code(stats_, victim->second.result, -1);
     slots_.erase(victim);
     lru_.pop_back();
     ++stats_.evictions;
@@ -382,6 +386,7 @@ StatusOr<std::shared_ptr<const ExecutedKernel>> ExecCache::get_or_compile(
       ek->jit = true;
       ek->code = std::move(jr->buffer);
       ek->entries = std::move(jr->entries);
+      ek->vector_loops = jr->vector_loops;
     }
     // Emission failure (W^X refusal, xmm pressure) is not an error:
     // the portable executor runs the same tape.

@@ -44,6 +44,7 @@ struct ExecStats {
   int64_t entries = 0;           // cached kernels + cached refusals now
   int64_t evictions = 0;         // least-recently-used entries dropped
   int64_t code_bytes = 0;        // mapped JIT code the entries hold now
+  int64_t vector_loops = 0;      // loops with a four-trip copy in them
 };
 
 /// Per-segment entry point (SysV; the portable executor matches the
@@ -58,6 +59,7 @@ struct ExecutedKernel {
   bool jit = false;
   std::unique_ptr<CodeBuffer> code;   // owns the machine code (jit only)
   std::vector<const void*> entries;   // per-segment, jit only
+  int vector_loops = 0;               // loops with a four-trip copy
 };
 
 /// Keyed, thread-safe cache of executable kernels. Lowering failures

@@ -19,6 +19,20 @@ bool jit_supported() {
 #endif
 }
 
+bool jit_avx2() {
+#if defined(__x86_64__) || defined(_M_X64)
+  // cpuid's AVX2 bit, honoured only when XCR0 says the OS saves ymm
+  // state across context switches.
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return avx2;
+#else
+  return false;
+#endif
+}
+
 namespace {
 
 // General-purpose register numbers (SysV). rdi/rsi hold the two
@@ -268,6 +282,39 @@ class Asm {
     modrm_rr(xreg, reg);
   }
 
+  // --- AVX (VEX prefix; pp 0/1/2/3 = none/66/F3/F2, map 1/2 =
+  // 0F/0F38, l selects ymm, vvvv is the extra source or 0) ------------
+  void vex(int pp, int map, bool w, bool l, int reg, int vvvv, bool x,
+           bool base) {
+    const int tail = ((~vvvv & 15) << 3) | (l ? 4 : 0) | pp;
+    if (map == 1 && !w && !x && !base) {
+      u8(0xC5);
+      u8(static_cast<uint8_t>((reg >= 8 ? 0 : 0x80) | tail));
+    } else {
+      u8(0xC4);
+      u8(static_cast<uint8_t>((reg >= 8 ? 0 : 0x80) | (x ? 0 : 0x40) |
+                              (base ? 0 : 0x20) | map));
+      u8(static_cast<uint8_t>((w ? 0x80 : 0) | tail));
+    }
+  }
+  void vex_rr(int pp, int map, bool w, bool l, uint8_t opc, int reg,
+              int vvvv, int rm) {
+    vex(pp, map, w, l, reg, vvvv, false, rm >= 8);
+    u8(opc);
+    modrm_rr(reg, rm);
+  }
+  void vex_rm(int pp, int map, bool l, uint8_t opc, int reg,
+              const Mem& m) {
+    vex(pp, map, false, l, reg, 0, m.index >= 8, m.base >= 8);
+    u8(opc);
+    modrm_m(reg, m);
+  }
+  void vzeroupper() {
+    u8(0xC5);
+    u8(0xF8);
+    u8(0x77);
+  }
+
  private:
   void imm_tail(int32_t imm) {
     if (fits_i8(imm)) {
@@ -322,11 +369,15 @@ struct Lin {
 /// unchecked copy runs, addressing each access through a pointer
 /// induction variable and reading loop-invariant loads of arrays the
 /// loop never stores from xmm registers filled once; otherwise the
-/// checked copy runs.
+/// checked copy runs. On AVX2 hosts an unchecked loop whose trips are
+/// independent (the test at the end of plan()) first runs four trips at
+/// a time in vector registers, then hands the rest to the scalar
+/// unchecked copy.
 struct LoopPlan {
   size_t head = 0, end = 0;  // the kJumpGe; the exit (past the back jump)
   int lv = 0, limit = 0;
   int64_t step = 1;
+  bool vector = false;  // emit the four-trip copy
   /// Accesses to one array whose flat offsets differ by a constant
   /// share one pointer: `flat` is the first member's flat index.
   struct Group {
@@ -357,6 +408,13 @@ class SegmentEmitter {
  public:
   SegmentEmitter(const LoweredKernel& lk, const Segment& seg, Asm& a)
       : lk_(lk), seg_(seg), a_(a), f64_(lk.precision == Precision::kF64) {}
+
+  /// Loops emitted with a four-trip copy (valid after emit()).
+  int vector_loops() const {
+    return static_cast<int>(
+        std::count_if(plans_.begin(), plans_.end(),
+                      [](const auto& kv) { return kv.second.vector; }));
+  }
 
   Status emit() {
     if (seg_.max_stack > kMaxXmmStack) {
@@ -664,6 +722,32 @@ class SegmentEmitter {
       if (acc.xmm < 0) p.groups[static_cast<size_t>(acc.group)].streamed = true;
       p.access.emplace(ip, acc);
     }
+
+    // Independence test for the four-trip copy, which runs the memory
+    // operations of four trips per op instead of per trip. That is
+    // unobservable when no trip touches an element another trip
+    // writes: every access not hoisted moves one element per trip, so
+    // four trips touch four distinct elements, and every access to an
+    // array the loop stores has one flat index (group and
+    // displacement), so an element written by a trip is touched by
+    // that trip alone. Distinct arrays never share storage: run_block
+    // binds each to its own allocation (a global to the call's buffer
+    // of its name, which compile_kernel maps to one array id).
+    p.vector = jit_avx2() && p.step == 1;
+    std::map<int, std::pair<int, int32_t>> stored_index;
+    for (const auto& [ip, acc] : p.access) {
+      if (acc.xmm < 0 &&
+          p.groups[static_cast<size_t>(acc.group)].flat.lv_coeff != 1) {
+        p.vector = false;
+      }
+      const int array = code[ip].a;
+      if (!stored[static_cast<size_t>(array)]) continue;
+      const auto [it, fresh] =
+          stored_index.try_emplace(array, acc.group, acc.disp);
+      if (!fresh && it->second != std::pair{acc.group, acc.disp}) {
+        p.vector = false;
+      }
+    }
     return p;
   }
 
@@ -907,14 +991,37 @@ class SegmentEmitter {
     return Mem{base, kRdx, 8, 0};
   }
 
-  void fload(const Mem& m) {
-    if (f64_) {
-      a_.sse_rm(0xF2, 0x10, stack_, m);  // movsd x, [m]
-    } else {
-      a_.sse_rm(0xF2, 0x5A, stack_, m);  // cvtsd2ss x, m64
+  /// SSE/AVX arithmetic opcode (0F map) of a binary op or compound
+  /// assignment.
+  static uint8_t arith_opc(TIns::Op op) {
+    switch (op) {
+      case TIns::Op::kFSub: return 0x5C;
+      case TIns::Op::kFMul: return 0x59;
+      case TIns::Op::kFDiv: return 0x5E;
+      default: return 0x58;  // kFAdd
     }
-    ++stack_;
   }
+  static uint8_t assign_opc(ir::AssignOp mode) {
+    switch (mode) {
+      case ir::AssignOp::kSubAssign: return 0x5C;
+      case ir::AssignOp::kDivAssign: return 0x5E;
+      default: return 0x58;  // kAddAssign
+    }
+  }
+
+  /// x = the element at m. The f32 conversions below write only the
+  /// low lane, so each first zeroes its target (xorps): otherwise every
+  /// trip would wait on the register's previous value.
+  void sload(int x, const Mem& m) {
+    if (f64_) {
+      a_.sse_rm(0xF2, 0x10, x, m);  // movsd x, [m]
+    } else {
+      a_.sse_rr(0, 0x57, x, x);     // xorps
+      a_.sse_rm(0xF2, 0x5A, x, m);  // cvtsd2ss x, m64
+    }
+  }
+
+  void fload(const Mem& m) { sload(stack_++, m); }
 
   void fstore(uint8_t mode_byte, const Mem& m) {
     --stack_;  // pop the value
@@ -923,24 +1030,17 @@ class SegmentEmitter {
       if (f64_) {
         a_.sse_rm(0xF2, 0x11, stack_, m);  // movsd [m], x
       } else {
-        a_.sse_rr(0xF3, 0x5A, kXmmScratch, stack_);  // cvtss2sd
+        a_.sse_rr(0, 0x57, kXmmScratch, kXmmScratch);  // xorps
+        a_.sse_rr(0xF3, 0x5A, kXmmScratch, stack_);    // cvtss2sd
         a_.sse_rm(0xF2, 0x11, kXmmScratch, m);
       }
       return;
     }
-    uint8_t opc = 0x58;  // kAddAssign
-    if (mode == ir::AssignOp::kSubAssign) opc = 0x5C;
-    if (mode == ir::AssignOp::kDivAssign) opc = 0x5E;
-    if (f64_) {
-      a_.sse_rm(0xF2, 0x10, kXmmScratch, m);      // movsd x15, [cell]
-      a_.sse_rr(0xF2, opc, kXmmScratch, stack_);  // x15 op= value
-      a_.sse_rm(0xF2, 0x11, kXmmScratch, m);
-    } else {
-      a_.sse_rm(0xF2, 0x5A, kXmmScratch, m);      // cvtsd2ss
-      a_.sse_rr(0xF3, opc, kXmmScratch, stack_);
-      a_.sse_rr(0xF3, 0x5A, kXmmScratch, kXmmScratch);  // cvtss2sd
-      a_.sse_rm(0xF2, 0x11, kXmmScratch, m);
-    }
+    // x15 = cell; x15 op= value; widen (f32); store.
+    sload(kXmmScratch, m);
+    a_.sse_rr(f64_ ? 0xF2 : 0xF3, assign_opc(mode), kXmmScratch, stack_);
+    if (!f64_) a_.sse_rr(0xF3, 0x5A, kXmmScratch, kXmmScratch);  // cvtss2sd
+    a_.sse_rm(0xF2, 0x11, kXmmScratch, m);
   }
 
   /// The FP ops that touch no memory.
@@ -967,15 +1067,78 @@ class SegmentEmitter {
           a_.sse_rr(0, 0x57, stack_ - 1, kXmmScratch);     // xorps
         }
         break;
-      default: {
-        uint8_t opc = 0x58;  // kFAdd
-        if (t.op == TIns::Op::kFSub) opc = 0x5C;
-        if (t.op == TIns::Op::kFMul) opc = 0x59;
-        if (t.op == TIns::Op::kFDiv) opc = 0x5E;
-        a_.sse_rr(f64_ ? 0xF2 : 0xF3, opc, stack_ - 2, stack_ - 1);
+      default:
+        a_.sse_rr(f64_ ? 0xF2 : 0xF3, arith_opc(t.op), stack_ - 2,
+                  stack_ - 1);
         --stack_;
         break;
-      }
+    }
+  }
+
+  // --- the four-trip copy: f64 lanes in ymm, f32 lanes in xmm -------
+  // Every instruction is VEX-encoded (no legacy SSE while the upper
+  // halves are live), and each lane gets the scalar copy's operations
+  // in its operand order.
+
+  /// Packed `opc` (0F map): the pd form on ymm for f64, ps on xmm for
+  /// f32. vvvv = src1 (0 for the two-operand moves).
+  void vop(uint8_t opc, int dst, int src1, int src2) {
+    a_.vex_rr(f64_ ? 1 : 0, 1, false, f64_, opc, dst, src1, src2);
+  }
+  /// Every lane of dst = the low lane of src.
+  void vbroadcast(int dst, int src) {
+    if (f64_) {
+      a_.vex_rr(1, 2, false, true, 0x19, dst, 0, src);   // vbroadcastsd
+    } else {
+      a_.vex_rr(1, 2, false, false, 0x18, dst, 0, src);  // vbroadcastss
+    }
+  }
+  /// Every lane of dst = the element encoded by `bits` (via rax).
+  void vsplat(int dst, uint64_t bits) {
+    a_.mov_ri(kRax, static_cast<int64_t>(bits));
+    a_.vex_rr(1, 1, f64_, false, 0x6E, dst, 0, kRax);  // vmovq / vmovd
+    vbroadcast(dst, dst);
+  }
+  /// dst = the four elements at m (f32: narrowed, as cvtsd2ss does).
+  void vload(int dst, const Mem& m) {
+    a_.vex_rm(1, 1, true, f64_ ? 0x10 : 0x5A, dst, m);  // vmovupd/vcvtpd2ps
+  }
+  /// The four elements at m = src (f32: widened in ymm15 first).
+  void vput(const Mem& m, int src) {
+    if (!f64_) {
+      a_.vex_rr(0, 1, false, true, 0x5A, kXmmScratch, 0, src);  // vcvtps2pd
+      src = kXmmScratch;
+    }
+    a_.vex_rm(1, 1, true, 0x11, src, m);  // vmovupd
+  }
+
+  void vstore(uint8_t mode_byte, const Mem& m) {
+    --stack_;
+    const auto mode = static_cast<ir::AssignOp>(mode_byte);
+    if (mode == ir::AssignOp::kAssign) {
+      vput(m, stack_);
+      return;
+    }
+    vload(kXmmScratch, m);  // cell op value, as the scalar copy
+    vop(assign_opc(mode), kXmmScratch, kXmmScratch, stack_);
+    vput(m, kXmmScratch);
+  }
+
+  void vfop(const TIns& t) {
+    switch (t.op) {
+      case TIns::Op::kFConst:
+        vsplat(stack_++,
+               f64_ ? std::bit_cast<uint64_t>(t.fimm)
+                    : std::bit_cast<uint32_t>(static_cast<float>(t.fimm)));
+        break;
+      case TIns::Op::kFNeg:
+        vsplat(kXmmScratch, f64_ ? uint64_t{1} << 63 : uint64_t{1} << 31);
+        vop(0x57, stack_ - 1, stack_ - 1, kXmmScratch);  // vxorpd / vxorps
+        break;
+      default:
+        vop(arith_opc(t.op), stack_ - 2, stack_ - 2, stack_ - 1);
+        --stack_;
+        break;
     }
   }
 
@@ -1090,9 +1253,68 @@ class SegmentEmitter {
     return Mem{kRax, -1, 1, acc.disp};
   }
 
-  /// Emits the loop at p.head twice — proven and checked — behind an
-  /// entry test that proves every access in range or picks the
-  /// checked copy (see LoopPlan).
+  /// dst = limit - lv.
+  void distance_into(int dst, const LoopPlan& p) {
+    load(dst, src_of(1, p.limit));
+    const Loc& lv = loc_[static_cast<size_t>(p.lv)];
+    if (lv.in_reg()) {
+      a_.sub_rr(dst, lv.reg);
+    } else {
+      a_.sub_rm(dst, lv.mem());
+    }
+  }
+
+  /// Steps every streamed pointer by `delta` loop-variable units.
+  void advance_pointers(const LoopPlan& p, int64_t delta) {
+    for (const LoopPlan::Group& g : p.groups) {
+      const int64_t stride = 8 * g.flat.lv_coeff * delta;
+      if (!g.streamed || stride == 0) continue;
+      if (g.ptr.in_reg()) {
+        a_.alu_ri(kAluAdd, g.ptr.reg, static_cast<int32_t>(stride));
+      } else {
+        a_.alu_mi(kAluAdd, g.ptr.mem(), static_cast<int32_t>(stride));
+      }
+    }
+  }
+
+  /// The four-trip copy, entered from the preheader with lv < limit:
+  /// while four or more trips are left, runs trips lv..lv+3 as one,
+  /// hoisted values broadcast to every lane; then clears the upper
+  /// halves (vzeroupper) and leaves any remaining trips to the scalar
+  /// proven copy at `scalar`.
+  void emit_vector(const LoopPlan& p, int scalar, int exit) {
+    distance_into(kRax, p);
+    a_.alu_ri(kAluCmp, kRax, 4);
+    jcc_to(kCcL, scalar);
+    for (const auto& [ip, xmm] : p.hoists) vbroadcast(xmm, xmm);
+    const size_t top = a_.size();
+    for (size_t ip = p.head + 1; ip < p.end - 2; ++ip) {
+      const TIns& t = seg_.code[ip];
+      const auto it = p.access.find(ip);
+      if (it == p.access.end()) {
+        vfop(t);
+      } else if (it->second.xmm >= 0) {
+        vop(0x28, stack_++, 0, it->second.xmm);  // vmovapd / vmovaps
+      } else if (t.op == TIns::Op::kFLoad) {
+        vload(stack_++, proven_mem(p, it->second));
+      } else {
+        vstore(t.mode, proven_mem(p, it->second));
+      }
+    }
+    advance_pointers(p, 4);
+    add_imm(p.lv, 4);
+    distance_into(kRax, p);
+    a_.alu_ri(kAluCmp, kRax, 4);
+    jcc_back(kCcGe, top);
+    a_.vzeroupper();
+    cmp_locals(p.lv, p.limit);
+    jcc_to(kCcGe, exit);
+  }
+
+  /// Emits the loop at p.head as a proven copy (behind its four-trip
+  /// copy when p.vector) and a checked copy, behind an entry test that
+  /// proves every access in range or picks the checked copy (see
+  /// LoopPlan).
   void emit_loop(const LoopPlan& p) {
     const std::vector<TIns>& code = seg_.code;
     const int exit = static_cast<int>(p.end);
@@ -1107,13 +1329,7 @@ class SegmentEmitter {
         std::any_of(p.checks.begin(), p.checks.end(),
                     [](const LoopPlan::Check& c) { return c.lv_coeff != 0; });
     if (need_span) {
-      const Loc& lv = loc_[static_cast<size_t>(p.lv)];
-      load(kR9, src_of(1, p.limit));
-      if (lv.in_reg()) {
-        a_.sub_rr(kR9, lv.reg);
-      } else {
-        a_.sub_rm(kR9, lv.mem());
-      }
+      distance_into(kR9, p);
       a_.alu_ri(kAluSub, kR9, 1);
       if (p.step > 1 && std::has_single_bit(static_cast<uint64_t>(p.step))) {
         a_.alu_ri(kAluAnd, kR9, static_cast<int32_t>(~(p.step - 1)));
@@ -1148,12 +1364,7 @@ class SegmentEmitter {
     for (const auto& [ip, xmm] : p.hoists) {
       const LoopPlan::Access& acc = p.access.at(ip);
       pointer_into(kRcx, p, p.groups[static_cast<size_t>(acc.group)]);
-      const Mem m{kRcx, -1, 1, acc.disp};
-      if (f64_) {
-        a_.sse_rm(0xF2, 0x10, xmm, m);
-      } else {
-        a_.sse_rm(0xF2, 0x5A, xmm, m);
-      }
+      sload(xmm, Mem{kRcx, -1, 1, acc.disp});
     }
     for (const LoopPlan::Group& g : p.groups) {
       if (g.streamed && !g.ptr.in_reg()) {
@@ -1165,7 +1376,11 @@ class SegmentEmitter {
       if (g.streamed && g.ptr.in_reg()) pointer_into(g.ptr.reg, p, g);
     }
 
+    const int scalar = new_label();
+    if (p.vector) emit_vector(p, scalar, exit);
+
     // Proven copy: no checks, pointers step by their strides.
+    bind(scalar);
     const size_t top = a_.size();
     for (size_t ip = p.head + 1; ip < p.end - 2; ++ip) {
       const TIns& t = code[ip];
@@ -1181,15 +1396,7 @@ class SegmentEmitter {
         fstore(t.mode, proven_mem(p, it->second));
       }
     }
-    for (const LoopPlan::Group& g : p.groups) {
-      const int64_t stride = 8 * g.flat.lv_coeff * p.step;
-      if (!g.streamed || stride == 0) continue;
-      if (g.ptr.in_reg()) {
-        a_.alu_ri(kAluAdd, g.ptr.reg, static_cast<int32_t>(stride));
-      } else {
-        a_.alu_mi(kAluAdd, g.ptr.mem(), static_cast<int32_t>(stride));
-      }
-    }
+    advance_pointers(p, p.step);
     add_imm(p.lv, p.step);
     cmp_locals(p.lv, p.limit);
     jcc_back(kCcL, top);
@@ -1236,10 +1443,12 @@ StatusOr<JitResult> jit_compile(const LoweredKernel& lk) {
   Asm a;
   std::vector<size_t> entries;
   entries.reserve(lk.segments.size());
+  JitResult r;
   for (const Segment& seg : lk.segments) {
     entries.push_back(a.size());
     SegmentEmitter em(lk, seg, a);
     OA_RETURN_IF_ERROR(em.emit());
+    r.vector_loops += em.vector_loops();
   }
   if (a.b.empty()) {
     // A kernel of pure barriers: nothing to run natively, but nothing
@@ -1248,7 +1457,6 @@ StatusOr<JitResult> jit_compile(const LoweredKernel& lk) {
   }
   OA_ASSIGN_OR_RETURN(std::unique_ptr<CodeBuffer> buf,
                       CodeBuffer::make(a.b));
-  JitResult r;
   r.entries.reserve(entries.size());
   for (size_t off : entries) r.entries.push_back(buf->entry(off));
   r.buffer = std::move(buf);

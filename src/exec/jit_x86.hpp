@@ -20,12 +20,21 @@
 // the trailing ErrorCell and returns early, so run_lowered reports the
 // interpreter's diagnostic for the first faulting access.
 //
-// f32 kernels load via cvtsd2ss, compute in single precision
-// (addss/subss/mulss/divss), and store via cvtss2sd — bit-identical to
-// the interpreter's double-op-then-round discipline (innocuous double
-// rounding; see support/precision.hpp). f64 kernels use the sd forms.
-// The per-lane FP operation order is the tape's: no contraction, no
-// reassociation.
+// On AVX2 hosts a proven loop whose trips are independent — step 1,
+// every access not hoisted moving one element per trip, and one index
+// for every access to an array the loop stores — also gets a four-trip
+// copy: f64 lanes in ymm registers, f32 lanes in xmm, hoisted values
+// broadcast. It runs while four or more trips are left, ends with
+// vzeroupper, and leaves the rest to the scalar proven copy. Other
+// loops, and hosts without AVX2, get the scalar code alone.
+//
+// f32 kernels load via cvtsd2ss (vcvtpd2ps), compute in single
+// precision (addss/subss/mulss/divss, or the ps forms), and store via
+// cvtss2sd (vcvtps2pd) — bit-identical to the interpreter's
+// double-op-then-round discipline (innocuous double rounding; see
+// support/precision.hpp). f64 kernels use the sd (pd) forms. Each
+// element gets the tape's FP operations in the tape's order and
+// operand order: no contraction, no reassociation.
 #pragma once
 
 #include <memory>
@@ -41,10 +50,16 @@ namespace oa::exec {
 /// jit_compile() instead.
 bool jit_supported();
 
+/// True when the host runs AVX2 code: cpuid reports it and XCR0 says
+/// the OS saves ymm state. Gates the four-trip loop copies.
+bool jit_avx2();
+
 struct JitResult {
   std::unique_ptr<CodeBuffer> buffer;
   /// Entry point per segment, same order as LoweredKernel::segments.
   std::vector<const void*> entries;
+  /// Loops emitted with a four-trip copy.
+  int vector_loops = 0;
 };
 
 /// Emit every segment of `lk` into one executable buffer. Fails

@@ -7,10 +7,12 @@
 // Also covers the cache-keying regressions (f32/f64 must not alias),
 // the W^X/JIT-unavailable fallback path, warm re-serve (zero
 // recompiles on a second execution), and hand-built kernels that hold
-// the JIT's loop proofs, register allocation and load hoisting to the
-// interpreter's statuses and bits.
+// the JIT's loop proofs, register allocation, load hoisting and
+// four-trip vector copies to the interpreter's statuses and bits.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
 #include <tuple>
 
 #include "baseline/baseline.hpp"
@@ -109,6 +111,12 @@ struct Problem {
   }
 };
 
+/// Bitwise equality: unlike ==, tells -0.0 from +0.0 and matches NaNs.
+bool same_bits(std::span<const double> x, std::span<const double> y) {
+  return x.size() == y.size() &&
+         (x.empty() || std::memcmp(x.data(), y.data(), x.size_bytes()) == 0);
+}
+
 Status run_native(const blas3::Variant& v, const ir::Program& p,
                   const Problem& prob, ExecCache& cache,
                   blas3::Matrix* out, const ExecOptions& options = {}) {
@@ -204,7 +212,7 @@ TEST_P(ExecAllVariants, JitAndPortableBitIdentical) {
       ASSERT_TRUE(s.is_ok()) << label << ": " << s.to_string();
       s = run_rect(v, p, m, n, k, cache, &tape_out, portable);
       ASSERT_TRUE(s.is_ok()) << label << ": " << s.to_string();
-      EXPECT_EQ(blas3::max_abs_diff(jit_out, tape_out), 0.0)
+      EXPECT_TRUE(same_bits(jit_out.data(), tape_out.data()))
           << label << " at " << m << "x" << n << "x" << k
           << ": JIT and portable executor disagree";
     }
@@ -436,7 +444,8 @@ Status expect_backends_agree(const gpusim::CompiledKernel& ck) {
                                                 << s.to_string();
     EXPECT_EQ(s.message(), interp_status.message()) << label;
     for (const auto& [name, buf] : want.data) {
-      EXPECT_EQ(got.data[name], buf) << label << ": array " << name;
+      EXPECT_TRUE(same_bits(got.data[name], buf))
+          << label << ": array " << name;
     }
   }
   return interp_status;
@@ -599,6 +608,186 @@ TEST(ExecFallbackTest, LoopStoringTheArrayItLoads) {
         probe_kernel(p, 3, {{"A", 6}, {"B", 6}}, std::move(body));
     const Status s = expect_backends_agree(ck);
     EXPECT_TRUE(s.is_ok()) << s.to_string();
+  }
+}
+
+// ---- Four-trip vector copies ----------------------------------------
+//
+// On AVX2 hosts the JIT gives a proven loop a vector copy when its
+// trips are independent; every other loop, and every loop on other
+// hosts, stays scalar. Either way all three backends agree bit for bit.
+
+/// Square side of the vector probes' arrays: room for 65 trips
+/// starting at row 1, plus one row of offset.
+constexpr int64_t kSide = 72;
+
+/// `for j in [1, 1 + trips) step step` around `body`, over kSide x
+/// kSide arrays named by `arrays`; slot 0 is j.
+gpusim::CompiledKernel one_loop(Precision p, int64_t trips,
+                                const std::vector<std::string>& arrays,
+                                std::vector<gpusim::CNode> body,
+                                int64_t step = 1) {
+  std::vector<std::pair<std::string, int64_t>> square;
+  for (const std::string& name : arrays) square.emplace_back(name, kSide);
+  std::vector<gpusim::CNode> top;
+  top.push_back(loop(0, affine(1), affine(1 + trips), std::move(body), step));
+  return probe_kernel(p, 1, square, std::move(top));
+}
+
+/// The loops of `ck` the JIT gave a vector copy, as a fresh cache's
+/// vector_loops gauge reports them.
+int64_t vector_loops(const gpusim::CompiledKernel& ck) {
+  ExecCache cache;
+  auto ek = cache.get_or_compile(ck);
+  EXPECT_TRUE(ek.is_ok()) << ek.status().to_string();
+  if (!ek.is_ok()) return -1;
+  EXPECT_EQ(cache.stats().vector_loops, (*ek)->vector_loops);
+  return cache.stats().vector_loops;
+}
+
+constexpr ir::AssignOp kAllAssignOps[] = {
+    ir::AssignOp::kAssign, ir::AssignOp::kAddAssign,
+    ir::AssignOp::kSubAssign, ir::AssignOp::kDivAssign};
+
+TEST(VectorLoops, UnitStrideUpdateAtEveryTripCount) {
+  // Y[j] op= a * X[j] with a = A[0][0] hoisted: the shape of the tuned
+  // GEMM inner loop. Trip counts 0-9 and 63-65 run no vector trip, one,
+  // and several, each with 0-3 remainder trips for the scalar copy.
+  using K = gpusim::COp::Kind;
+  const int64_t trip_counts[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65};
+  for (const Precision p : {Precision::kF32, Precision::kF64}) {
+    for (const ir::AssignOp op : kAllAssignOps) {
+      for (const int64_t trips : trip_counts) {
+        SCOPED_TRACE(testing::Message()
+                     << (p == Precision::kF64 ? "f64" : "f32") << " op "
+                     << static_cast<int>(op) << " trips " << trips);
+        std::vector<gpusim::CNode> body;
+        body.push_back(assign(ref(2, var(0), affine(0)), op,
+                              {ref(0, affine(0), affine(0)),
+                               ref(1, var(0), affine(0))},
+                              {K::kLoad, K::kLoad, K::kMul}));
+        const gpusim::CompiledKernel ck =
+            one_loop(p, trips, {"A", "X", "Y"}, std::move(body));
+        const Status s = expect_backends_agree(ck);
+        EXPECT_TRUE(s.is_ok()) << s.to_string();
+        EXPECT_EQ(vector_loops(ck), jit_avx2() ? 1 : 0);
+      }
+    }
+  }
+}
+
+TEST(VectorLoops, ConstantNegationDivisionAndReadBack) {
+  // Y[j] op= -X[j] / (a + 1), then Z[j] = Y[j] * X[j] - 1: a broadcast
+  // constant, a sign flip, a division, and a load of the array the
+  // loop stores, at the index it stores.
+  using K = gpusim::COp::Kind;
+  for (const Precision p : {Precision::kF32, Precision::kF64}) {
+    for (const ir::AssignOp op : kAllAssignOps) {
+      for (const int64_t trips : {0, 3, 4, 7, 65}) {
+        SCOPED_TRACE(testing::Message()
+                     << (p == Precision::kF64 ? "f64" : "f32") << " op "
+                     << static_cast<int>(op) << " trips " << trips);
+        std::vector<gpusim::CNode> body;
+        body.push_back(assign(ref(2, var(0), affine(0)), op,
+                              {ref(1, var(0), affine(0)),
+                               ref(0, affine(0), affine(0))},
+                              {K::kLoad, K::kNeg, K::kLoad, K::kConst,
+                               K::kAdd, K::kDiv}));
+        body.push_back(assign(ref(3, var(0), affine(0)),
+                              ir::AssignOp::kAssign,
+                              {ref(2, var(0), affine(0)),
+                               ref(1, var(0), affine(0))},
+                              {K::kLoad, K::kLoad, K::kMul, K::kConst,
+                               K::kSub}));
+        const gpusim::CompiledKernel ck =
+            one_loop(p, trips, {"A", "X", "Y", "Z"}, std::move(body));
+        const Status s = expect_backends_agree(ck);
+        EXPECT_TRUE(s.is_ok()) << s.to_string();
+        EXPECT_EQ(vector_loops(ck), jit_avx2() ? 1 : 0);
+      }
+    }
+  }
+}
+
+TEST(VectorLoops, DependentOrStridedLoopsStayScalar) {
+  // Loops that fail the independence test: one array stored at two
+  // offsets (both directions; the second reads what the previous trip
+  // wrote), a store and a load that move a whole column per trip, a
+  // reduction into one cell, and a step of 2. Each must keep its
+  // scalar code and agree with the interpreter.
+  using K = gpusim::COp::Kind;
+  const std::vector<K> times_a = {K::kLoad, K::kLoad, K::kMul};
+  const gpusim::CRef a = ref(0, affine(0), affine(0));
+  struct Case {
+    const char* name;
+    gpusim::CRef store;
+    gpusim::CRef load;
+    ir::AssignOp op = ir::AssignOp::kAssign;
+    int64_t step = 1;
+  };
+  const Case cases[] = {
+      {"X[j] = X[j+1] * a", ref(1, var(0), affine(0)),
+       ref(1, affine(1, {{0, 1}}), affine(0))},
+      {"X[j+1] = X[j] * a", ref(1, affine(1, {{0, 1}}), affine(0)),
+       ref(1, var(0), affine(0))},
+      {"Y[0][j] = X[j] * a", ref(2, affine(0), var(0)),
+       ref(1, var(0), affine(0))},
+      {"Y[j] = X[0][j] * a", ref(2, var(0), affine(0)),
+       ref(1, affine(0), var(0))},
+      {"Y[0] += X[j] * a", ref(2, affine(0), affine(0)),
+       ref(1, var(0), affine(0)), ir::AssignOp::kAddAssign},
+      {"Y[j] = X[j] * a, step 2", ref(2, var(0), affine(0)),
+       ref(1, var(0), affine(0)), ir::AssignOp::kAssign, 2},
+  };
+  for (const Precision p : {Precision::kF32, Precision::kF64}) {
+    for (const Case& c : cases) {
+      for (const int64_t trips : {9, 64}) {
+        SCOPED_TRACE(testing::Message()
+                     << (p == Precision::kF64 ? "f64 " : "f32 ") << c.name
+                     << " trips " << trips);
+        std::vector<gpusim::CNode> body;
+        body.push_back(assign(c.store, c.op, {a, c.load}, times_a));
+        const gpusim::CompiledKernel ck = one_loop(
+            p, trips, {"A", "X", "Y"}, std::move(body), c.step);
+        const Status s = expect_backends_agree(ck);
+        EXPECT_TRUE(s.is_ok()) << s.to_string();
+        EXPECT_EQ(vector_loops(ck), 0);
+      }
+    }
+  }
+}
+
+TEST(VectorLoops, MorePointerGroupsThanRegisters) {
+  // Y[j] = (X0[j] + X1[j] + ... + X10[j]) * a: twelve streamed
+  // pointers, more than the proven loop has registers for, so some
+  // live in stack slots and step there.
+  using K = gpusim::COp::Kind;
+  std::vector<std::string> arrays = {"A", "Y"};
+  std::vector<gpusim::CRef> loads;
+  std::vector<K> tape;
+  for (int i = 0; i < 11; ++i) {
+    arrays.push_back("X" + std::to_string(i));
+    loads.push_back(ref(2 + i, var(0), affine(0)));
+    tape.push_back(K::kLoad);
+    if (i > 0) tape.push_back(K::kAdd);
+  }
+  loads.push_back(ref(0, affine(0), affine(0)));
+  tape.push_back(K::kLoad);
+  tape.push_back(K::kMul);
+  for (const Precision p : {Precision::kF32, Precision::kF64}) {
+    for (const int64_t trips : {3, 4, 9, 65}) {
+      SCOPED_TRACE(testing::Message()
+                   << (p == Precision::kF64 ? "f64" : "f32") << " trips "
+                   << trips);
+      std::vector<gpusim::CNode> body;
+      body.push_back(assign(ref(1, var(0), affine(0)), ir::AssignOp::kAssign,
+                            loads, tape));
+      const gpusim::CompiledKernel ck =
+          one_loop(p, trips, arrays, std::move(body));
+      const Status s = expect_backends_agree(ck);
+      EXPECT_TRUE(s.is_ok()) << s.to_string();
+      EXPECT_EQ(vector_loops(ck), jit_avx2() ? 1 : 0);
+    }
   }
 }
 
