@@ -9,7 +9,7 @@
 //   1. closed-loop serve — N client threads issuing a mixed
 //      f32/f64 request stream through serve() (admission control plus
 //      native execution): QPS, latency percentiles, native serves and
-//      interpreter fallbacks;
+//      recovered kernel errors;
 //   2. admission control — the same closed loop against a tight
 //      latency SLO and queue bound: shed rate and the accounting
 //      invariant requests == served + shed;
@@ -113,7 +113,7 @@ struct ServeRow {
   uint64_t requests = 0;
   uint64_t shed = 0;
   uint64_t native_serves = 0;
-  uint64_t native_fallbacks = 0;
+  uint64_t recovered_errors = 0;
   double qps = 0.0;
   double p50_us = 0.0, p95_us = 0.0, p99_us = 0.0;
   double shed_rate = 0.0;
@@ -172,7 +172,7 @@ ServeRow run_closed_loop(const gpusim::DeviceModel& device,
   row.requests = stats.requests;
   row.shed = stats.shed;
   row.native_serves = stats.native_serves;
-  row.native_fallbacks = stats.native_fallbacks;
+  row.recovered_errors = stats.recovered_errors;
   row.qps = elapsed_us > 0
                 ? static_cast<double>(stats.requests) / elapsed_us * 1e6
                 : 0.0;
@@ -197,11 +197,11 @@ ServeRow run_closed_loop(const gpusim::DeviceModel& device,
       stats.failed_requests == 0;
   std::printf(
       "serve     mode=%-12s clients=%d  %6.0f req/s  p50=%-6.0f "
-      "p99=%-8.0f shed=%.1f%%  native=%llu fallbacks=%llu%s\n",
+      "p99=%-8.0f shed=%.1f%%  native=%llu recovered=%llu%s\n",
       mode.c_str(), clients, row.qps, row.p50_us, row.p99_us,
       row.shed_rate * 100.0,
       static_cast<unsigned long long>(row.native_serves),
-      static_cast<unsigned long long>(row.native_fallbacks),
+      static_cast<unsigned long long>(row.recovered_errors),
       row.accounting_ok ? "" : "  ACCOUNTING MISMATCH");
   return row;
 }
@@ -307,14 +307,14 @@ void write_json(const std::string& path, const gpusim::DeviceModel& device,
         "    {\"mode\": \"%s\", \"clients\": %d, \"requests\": %llu, "
         "\"qps\": %.1f, \"p50_us\": %.1f, \"p95_us\": %.1f, "
         "\"p99_us\": %.1f, \"shed\": %llu, \"shed_rate\": %.4f, "
-        "\"native_serves\": %llu, \"native_fallbacks\": %llu, "
+        "\"native_serves\": %llu, \"recovered_errors\": %llu, "
         "\"requests_f32\": %llu, \"requests_f64\": %llu, "
         "\"accounting_ok\": %s}%s\n",
         r.mode.c_str(), r.clients,
         static_cast<unsigned long long>(r.requests), r.qps, r.p50_us,
         r.p95_us, r.p99_us, static_cast<unsigned long long>(r.shed),
         r.shed_rate, static_cast<unsigned long long>(r.native_serves),
-        static_cast<unsigned long long>(r.native_fallbacks),
+        static_cast<unsigned long long>(r.recovered_errors),
         static_cast<unsigned long long>(r.requests_f32),
         static_cast<unsigned long long>(r.requests_f64),
         r.accounting_ok ? "true" : "false",

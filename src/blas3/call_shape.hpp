@@ -25,7 +25,7 @@ class CallShape {
   CallShape(const Variant& v, int64_t m, int64_t n, int64_t k,
             int64_t count = 1);
   /// The n x n problem at the variant's nominal batch: what tuning,
-  /// verification and prewarming compile.
+  /// verification and the runtime's admission compile.
   static CallShape square(const Variant& v, int64_t n);
 
   /// A call on borrowed operands, one matrix per batch member (`c`

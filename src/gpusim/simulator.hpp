@@ -66,7 +66,7 @@ struct RunResult {
 inline constexpr int64_t kMaxRegistersPerThread = 124;
 
 /// The launch gate the simulator, native execution, the runtime's
-/// prewarm and the artifact's exec sidecar all pass, so they all see
+/// admission and the artifact's exec sidecar all pass, so they all see
 /// one kernel: rejects a block over the thread limit, spills register
 /// arrays over the per-thread register budget (the spill is part of the
 /// exec-cache key), and returns the occupancy in blocks per SM, failing

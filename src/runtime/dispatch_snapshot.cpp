@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "baseline/baseline.hpp"
+#include "blas3/call_shape.hpp"
 #include "engine/evaluation_engine.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
@@ -63,6 +64,28 @@ int DispatchSnapshot::size_bucket(int64_t n) {
   return b < kBuckets ? b : kBuckets - 1;
 }
 
+namespace {
+/// Admission: what serving does to each kernel of an entry (compile,
+/// gate_launch, lower), done once at the entry's tuned size. Lowering
+/// refuses only for kernel structure, never for a size, so an entry
+/// admitted here lowers at every call shape; the lowered kernels stay
+/// in `cache` for the first requests.
+Status admit(const gpusim::DeviceModel& device,
+             const DispatchSnapshot::Entry& e, exec::ExecCache& cache) {
+  const ir::Env env =
+      blas3::CallShape::square(*e.variant, e.tuned_size).env();
+  for (const ir::Kernel& kernel : e.program.kernels) {
+    auto ck = gpusim::compile_kernel(e.program, kernel, env, e.bool_params);
+    if (!ck.is_ok()) return ck.status();
+    if (auto gated = gpusim::gate_launch(device, *ck); !gated.is_ok()) {
+      return gated.status();
+    }
+    if (auto ek = cache.get_or_compile(*ck); !ek.is_ok()) return ek.status();
+  }
+  return Status::ok();
+}
+}  // namespace
+
 std::shared_ptr<const BaselineTable> BaselineTable::build(
     const gpusim::DeviceModel& device) {
   auto table = std::make_shared<BaselineTable>();
@@ -82,7 +105,7 @@ std::shared_ptr<const BaselineTable> BaselineTable::build(
 
 std::shared_ptr<const DispatchSnapshot> DispatchSnapshot::build(
     const gpusim::DeviceModel& device, libgen::Artifact artifact,
-    std::shared_ptr<const BaselineTable> baselines) {
+    std::shared_ptr<const BaselineTable> baselines, exec::ExecCache& cache) {
   auto snap = std::make_shared<DispatchSnapshot>();
   snap->artifact_ = std::move(artifact);
   snap->baselines_ = std::move(baselines);
@@ -124,6 +147,11 @@ std::shared_ptr<const DispatchSnapshot> DispatchSnapshot::build(
     e.bool_params = engine::bools_for(eval->candidate);
     e.gflops = entry.gflops;
     e.tuned_size = entry.tuned_size;
+    if (Status refused = admit(device, e, cache); !refused.is_ok()) {
+      ++skipped;
+      skip_reason = entry.variant + ": " + refused.message();
+      continue;
+    }
     registered[variant_code(*v)][size_bucket(entry.tuned_size)] =
         static_cast<int16_t>(snap->entries_.size());
     snap->entries_.push_back(std::move(e));

@@ -19,6 +19,11 @@
 // (variant, device), never on the artifact) and shared by every
 // snapshot the runtime ever publishes, replacing the old lazily-built,
 // mutex-guarded baseline cache.
+//
+// Admission happens here too: an entry joins the table only if each of
+// its kernels compiles, passes the launch gate and lowers to native
+// code at the entry's tuned size, so serving has a single execution
+// path and the exec cache is warm before the snapshot is published.
 #pragma once
 
 #include <array>
@@ -29,6 +34,7 @@
 #include <vector>
 
 #include "blas3/routine.hpp"
+#include "exec/executor.hpp"
 #include "gpusim/simulator.hpp"
 #include "ir/kernel.hpp"
 #include "libgen/artifact.hpp"
@@ -88,14 +94,16 @@ class DispatchSnapshot {
     int64_t tuned_size = 0;
   };
 
-  /// Build a snapshot from an artifact: reconstruct every admissible
-  /// entry, then resolve the full (variant code x bucket) plan table.
-  /// Never fails — a mismatched or partially-stale artifact yields a
-  /// smaller (possibly empty) table with the reason in load_status().
-  /// `baselines` may be null (no baseline fallback).
+  /// Build a snapshot from an artifact: reconstruct every entry, admit
+  /// the ones whose kernels compile, gate and lower into `cache` at
+  /// their tuned size, then resolve the full (variant code x bucket)
+  /// plan table. Never fails — a mismatched, partially-stale or
+  /// unlowerable artifact yields a smaller (possibly empty) table with
+  /// the reason in load_status(), and the refused variants' calls take
+  /// the baseline, then the reference.
   static std::shared_ptr<const DispatchSnapshot> build(
       const gpusim::DeviceModel& device, libgen::Artifact artifact,
-      std::shared_ptr<const BaselineTable> baselines);
+      std::shared_ptr<const BaselineTable> baselines, exec::ExecCache& cache);
 
   /// The artifact this snapshot serves (kept for introspection; pin
   /// the snapshot while reading it).
@@ -121,10 +129,10 @@ class DispatchSnapshot {
     return &entries_[static_cast<size_t>(idx)];
   }
 
-  /// Baseline program for a variant code, or nullptr (no baseline
-  /// table, or the baseline could not be built for this variant).
+  /// Baseline program for a variant code, or nullptr (the baseline
+  /// could not be built for this variant).
   const ir::Program* baseline(int code) const {
-    return baselines_ == nullptr ? nullptr : baselines_->find(code);
+    return baselines_->find(code);
   }
 
  private:

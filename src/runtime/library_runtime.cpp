@@ -4,7 +4,6 @@
 
 #include "blas3/call_shape.hpp"
 #include "blas3/reference.hpp"
-#include "engine/evaluation_engine.hpp"
 #include "obs/trace.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
@@ -56,8 +55,7 @@ std::string DispatchStats::to_string() const {
       "dispatch: %llu requests — %llu hits, %llu near-hits, %llu "
       "baseline fallbacks, %llu reference fallbacks, %llu shed, %llu "
       "recovered kernel errors, %llu failed; f32 %llu req / %llu tuned, "
-      "f64 %llu req / %llu tuned; %llu native serves (%llu interpreter "
-      "fallbacks); %llu reloads",
+      "f64 %llu req / %llu tuned; %llu native serves; %llu reloads",
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(hits),
       static_cast<unsigned long long>(near_hits),
@@ -71,7 +69,6 @@ std::string DispatchStats::to_string() const {
       static_cast<unsigned long long>(requests_f64),
       static_cast<unsigned long long>(tuned_served_f64),
       static_cast<unsigned long long>(native_serves),
-      static_cast<unsigned long long>(native_fallbacks),
       static_cast<unsigned long long>(reloads));
   if (batched_requests > 0) {
     out += str_format("; %llu batched calls (%llu members)",
@@ -88,9 +85,9 @@ std::string DispatchStats::to_string() const {
 LibraryRuntime::LibraryRuntime(const gpusim::DeviceModel& device,
                                libgen::Artifact artifact,
                                RuntimeOptions options)
-    : sim_(device), options_(options) {
-  if (options_.metrics != nullptr) {
-    metrics_ = options_.metrics;
+    : device_(device) {
+  if (options.metrics != nullptr) {
+    metrics_ = options.metrics;
   } else {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
@@ -115,8 +112,6 @@ LibraryRuntime::LibraryRuntime(const gpusim::DeviceModel& device,
   ins_.shed = &metrics_->counter("runtime.shed");
   ins_.recovered_errors = &metrics_->counter("runtime.recovered_errors");
   ins_.failed_requests = &metrics_->counter("runtime.failed_requests");
-  ins_.native_serves = &metrics_->counter("runtime.native_serves");
-  ins_.native_fallbacks = &metrics_->counter("runtime.native_fallbacks");
   ins_.reloads = &metrics_->counter("runtime.reloads");
   ins_.batched_requests = &metrics_->counter("runtime.batched_requests");
   ins_.batched_members = &metrics_->counter("runtime.batched_members");
@@ -143,11 +138,9 @@ LibraryRuntime::LibraryRuntime(const gpusim::DeviceModel& device,
   ins_.serve_us = &metrics_->histogram("runtime.serve_us");
   ins_.reload_us = &metrics_->histogram("runtime.reload_us");
 
-  if (options_.baseline_fallback) {
-    baselines_ = BaselineTable::build(device);
-  }
-  auto snap =
-      DispatchSnapshot::build(device, std::move(artifact), baselines_);
+  baselines_ = BaselineTable::build(device);
+  auto snap = DispatchSnapshot::build(device, std::move(artifact),
+                                      baselines_, exec_cache_);
   if (!snap->load_status().is_ok()) {
     OA_LOG(kWarning) << "LibraryRuntime: "
                      << snap->load_status().to_string()
@@ -156,13 +149,12 @@ LibraryRuntime::LibraryRuntime(const gpusim::DeviceModel& device,
   }
   metrics_->gauge("runtime.table_size")
       .set(static_cast<double>(snap->table_size()));
-  prewarm(*snap);
   snapshot_.store(std::move(snap), std::memory_order_release);
   version_.store(next_snapshot_version(), std::memory_order_release);
 
   AdmissionController::Options adm;
-  adm.slo_p99_us = options_.slo_p99_us;
-  adm.max_queue_depth = options_.max_queue_depth;
+  adm.slo_p99_us = options.slo_p99_us;
+  adm.max_queue_depth = options.max_queue_depth;
   admission_ =
       std::make_unique<AdmissionController>(adm, ins_.serve_us);
 }
@@ -172,16 +164,15 @@ Status LibraryRuntime::swap_artifact(libgen::Artifact artifact) {
   Status status;
   {
     // One snapshot build at a time; lookups never take this lock.
+    // Admission lowers every entry into the exec cache *before*
+    // publishing, so requests never race a cold compile after a reload
+    // (unchanged entries hit anyway — keys are content-addressed).
     std::lock_guard<std::mutex> lock(swap_mu_);
-    auto snap = DispatchSnapshot::build(sim_.device(), std::move(artifact),
-                                        baselines_);
+    auto snap = DispatchSnapshot::build(device_, std::move(artifact),
+                                        baselines_, exec_cache_);
     status = snap->load_status();
     metrics_->gauge("runtime.table_size")
         .set(static_cast<double>(snap->table_size()));
-    // Warm the exec cache *before* publishing: requests never race a
-    // cold compile after a reload (unchanged entries hit anyway —
-    // keys are content-addressed).
-    prewarm(*snap);
     snapshot_.store(std::move(snap), std::memory_order_release);
     version_.store(next_snapshot_version(), std::memory_order_release);
   }
@@ -251,41 +242,6 @@ void LibraryRuntime::count_request(const Variant& v) const {
       ->add();
 }
 
-template <typename Retry>
-Status LibraryRuntime::native_first(const Status& native, const Variant& v,
-                                    const Retry& retry) const {
-  if (native.is_ok()) {
-    ins_.native_serves->add();
-    return native;
-  }
-  // A failed native attempt never touched b/c (outputs are only read
-  // back on success), so the interpreter can retry cleanly.
-  ins_.native_fallbacks->add();
-  OA_LOG(kWarning) << "LibraryRuntime: native execution of " << v.name()
-                   << " failed (" << native.to_string()
-                   << "), retrying on the interpreter";
-  return retry();
-}
-
-void LibraryRuntime::prewarm(const DispatchSnapshot& snap) const {
-  for (const DispatchSnapshot::Entry& entry : snap.entries()) {
-    const ir::Env int_params =
-        blas3::CallShape::square(*entry.variant, entry.tuned_size).env();
-    for (const ir::Kernel& kernel : entry.program.kernels) {
-      // Gated exactly like execution, so a spilled kernel is warmed
-      // under the key serving looks up.
-      auto ck = gpusim::compile_kernel(entry.program, kernel, int_params,
-                                       entry.bool_params);
-      if (!ck.is_ok() || !gpusim::gate_launch(device(), *ck).is_ok()) {
-        continue;
-      }
-      // Failure is fine: the entry serves through the per-request
-      // interpreter fallback (and the failure is negatively cached).
-      (void)exec_cache_.get_or_compile(*ck);
-    }
-  }
-}
-
 template <typename Execute, typename Reference>
 StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
     const blas3::CallShape& shape, const Variant& v, double start_us,
@@ -328,26 +284,26 @@ StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
       return d.outcome;
     }
     // A tuned kernel that fails at this problem size (occupancy,
-    // launch) is usually recovered by the fallback chain — counted as
-    // recovered only once a fallback serves the request.
+    // launch, an out-of-bounds access) is usually recovered by the
+    // fallback chain — counted as recovered only once a fallback
+    // serves the request.
     ++pending_errors;
     OA_LOG(kWarning) << "LibraryRuntime: tuned " << v.name()
                      << " failed (" << served.to_string()
                      << "), falling back";
   }
 
-  if (kernels && options_.baseline_fallback) {
-    const ir::Program* base = snap.baseline(variant_code(v));
-    if (base != nullptr) {
-      Status served = execute(*base, no_bool_params());
-      if (served.is_ok()) {
-        ins_.baseline_fallbacks->add();
-        ins_.recovered_errors->add(pending_errors);
-        settle(ins_.baseline_us);
-        return DispatchOutcome::kFallbackBaseline;
-      }
-      ++pending_errors;
+  const ir::Program* base =
+      kernels ? snap.baseline(variant_code(v)) : nullptr;
+  if (base != nullptr) {
+    Status served = execute(*base, no_bool_params());
+    if (served.is_ok()) {
+      ins_.baseline_fallbacks->add();
+      ins_.recovered_errors->add(pending_errors);
+      settle(ins_.baseline_us);
+      return DispatchOutcome::kFallbackBaseline;
     }
+    ++pending_errors;
   }
 
   reference();
@@ -393,12 +349,8 @@ StatusOr<DispatchOutcome> LibraryRuntime::run(const Variant& v,
 
   auto execute = [&](const ir::Program& program,
                      const std::map<std::string, bool>& bools) {
-    return native_first(
-        exec::execute_program(sim_.device(), program, v, a, b, c, bools,
-                              exec_cache_),
-        v, [&] {
-          return engine::execute_program(sim_, program, v, a, b, c, bools);
-        });
+    return exec::execute_program(device_, program, v, a, b, c, bools,
+                                 exec_cache_);
   };
   auto reference = [&] {
     if (v.family == blas3::Family::kTrsm) {
@@ -448,12 +400,8 @@ StatusOr<DispatchOutcome> LibraryRuntime::run_batched(
   // single-GEMM ones.
   auto execute = [&](const ir::Program& program,
                      const std::map<std::string, bool>& bools) {
-    return native_first(
-        exec::execute_batched(sim_.device(), program, v, a, b, c, bools,
-                              exec_cache_),
-        v, [&] {
-          return engine::execute_batched(sim_, program, v, a, b, c, bools);
-        });
+    return exec::execute_batched(device_, program, v, a, b, c, bools,
+                                 exec_cache_);
   };
   auto reference = [&] {
     for (size_t i = 0; i < a.size(); ++i) {
@@ -483,6 +431,8 @@ DispatchStats LibraryRuntime::stats() const {
   // snapshot, which independent relaxed counters cannot offer.
   s.requests = s.hits + s.near_hits + s.baseline_fallbacks +
                s.reference_fallbacks + s.shed + s.failed_requests;
+  // Every tuned and baseline answer ran as native code.
+  s.native_serves = s.hits + s.near_hits + s.baseline_fallbacks;
   s.requests_f32 =
       ins_.requests_by_prec[static_cast<int>(Precision::kF32)]->value();
   s.requests_f64 =
@@ -491,8 +441,6 @@ DispatchStats LibraryRuntime::stats() const {
       ins_.tuned_served_by_prec[static_cast<int>(Precision::kF32)]->value();
   s.tuned_served_f64 =
       ins_.tuned_served_by_prec[static_cast<int>(Precision::kF64)]->value();
-  s.native_serves = ins_.native_serves->value();
-  s.native_fallbacks = ins_.native_fallbacks->value();
   s.reloads = ins_.reloads->value();
   s.batched_requests = ins_.batched_requests->value();
   s.batched_members = ins_.batched_members->value();

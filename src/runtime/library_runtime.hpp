@@ -15,9 +15,10 @@
 //     artifact and publishes it atomically; in-flight requests finish
 //     on the snapshot they pinned, so a reload never drops a request;
 //   * native execution — dispatched kernels run as JIT-lowered native
-//     code (src/exec) from a cache the runtime prewarms per snapshot;
-//     the gpusim interpreter only answers for a kernel the native
-//     backend refuses or fails (counted in runtime.native_fallbacks);
+//     code (src/exec). A snapshot admits an artifact entry only if its
+//     kernels lower, and leaves them in the exec cache, so every tuned
+//     and baseline answer is native; the gpusim interpreter is only
+//     the verification oracle, never a serving path;
 //   * admission control — serve() is run() behind an
 //     AdmissionController that sheds load (DispatchOutcome::kShed)
 //     when the p99 latency SLO is unattainable.
@@ -30,11 +31,12 @@
 //                    (the tuned schedule is size-agnostic for these
 //                    affine kernels; the bucket records how far from
 //                    its tuning regime the request landed);
-//   * miss         — no entry (unknown variant, mismatched device, or
-//                    an artifact entry that no longer re-applies):
-//                    gracefully fall back to the CUBLAS-like baseline
-//                    schedule, and to the CPU reference if even the
-//                    baseline is unavailable.
+//   * miss         — no entry (unknown variant, mismatched device, an
+//                    artifact entry that no longer re-applies, or one
+//                    whose kernels do not compile, gate or lower at its
+//                    tuned size): gracefully fall back to the CUBLAS-like
+//                    baseline schedule, and to the CPU reference if
+//                    even the baseline is unavailable.
 #pragma once
 
 #include <atomic>
@@ -49,7 +51,7 @@
 #include "blas3/matrix.hpp"
 #include "blas3/routine.hpp"
 #include "exec/executor.hpp"
-#include "gpusim/simulator.hpp"
+#include "gpusim/device.hpp"
 #include "libgen/artifact.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/admission.hpp"
@@ -58,9 +60,6 @@
 namespace oa::runtime {
 
 struct RuntimeOptions {
-  /// Serve misses from the CUBLAS-like baseline schedule (simulated on
-  /// the same device). Off = CPU reference only.
-  bool baseline_fallback = true;
   /// Registry the serving counters and per-outcome dispatch-latency
   /// histograms live in (instrument names prefixed "runtime."). Null
   /// gives the runtime a private registry; `oagen` and the serving
@@ -125,10 +124,10 @@ struct DispatchStats {
   uint64_t requests_f64 = 0;
   uint64_t tuned_served_f32 = 0;
   uint64_t tuned_served_f64 = 0;
-  /// Native-execution trajectory: kernel executions that ran as
-  /// native code / native attempts that fell back to the interpreter.
+  /// Requests answered by a native kernel — derived, like `requests`:
+  /// hits + near_hits + baseline_fallbacks (only the reference runs
+  /// off the native backend).
   uint64_t native_serves = 0;
-  uint64_t native_fallbacks = 0;
   /// Hot-reload trajectory: snapshots published after the first.
   uint64_t reloads = 0;
   /// Batched-family trajectory (run_batched/serve_batched): batched
@@ -145,13 +144,14 @@ struct DispatchStats {
 class LibraryRuntime {
  public:
   /// Takes ownership of the artifact. Construction never fails: an
-  /// artifact for the wrong device or with stale entries simply yields
-  /// an empty dispatch table (everything falls back), with the reason
+  /// artifact for the wrong device, with stale entries or with entries
+  /// whose kernels do not lower simply yields a smaller (possibly
+  /// empty) dispatch table (those calls fall back), with the reason
   /// reported by load_status().
   LibraryRuntime(const gpusim::DeviceModel& device,
                  libgen::Artifact artifact, RuntimeOptions options = {});
 
-  const gpusim::DeviceModel& device() const { return sim_.device(); }
+  const gpusim::DeviceModel& device() const { return device_; }
 
   /// Pins and returns the current snapshot (artifact, load status,
   /// entries). The snapshot stays valid as long as the returned
@@ -212,9 +212,9 @@ class LibraryRuntime {
   Dispatch dispatch(const blas3::Variant& v, int64_t n) const;
 
   /// Serve one BLAS3 call directly: run the dispatched kernel natively
-  /// (matrix conventions as OaFramework::run), on the interpreter if
-  /// the native backend refuses it, falling back to baseline / CPU
-  /// reference on a miss or execution failure. Operands that fail
+  /// (matrix conventions as OaFramework::run), falling back to the
+  /// baseline kernel (also native) and then the CPU reference on a
+  /// miss or execution failure. Operands that fail
   /// blas3::CallShape::validate (element type, missing output, A/B/C
   /// extents that disagree) are rejected with invalid_argument.
   /// Thread-safe; returns how the request was ultimately served. Never
@@ -236,9 +236,9 @@ class LibraryRuntime {
   /// shape; a call that fails blas3::CallShape::validate (a ragged
   /// batch included) is rejected with invalid_argument.
   /// Dispatch resolves on the member size under the batched variant's
-  /// own code; execution is native-first (the fused
-  /// exec::execute_batched), then the interpreter loop-of-members,
-  /// then the CPU reference loop. Thread-safe; never sheds.
+  /// own code; execution is native (the fused exec::execute_batched),
+  /// falling back to the baseline, then to the CPU reference loop.
+  /// Thread-safe; never sheds.
   StatusOr<DispatchOutcome> run_batched(const blas3::Variant& v,
                                         const std::vector<blas3::Matrix>& a,
                                         std::vector<blas3::Matrix>& b,
@@ -295,19 +295,6 @@ class LibraryRuntime {
                                        const Execute& execute,
                                        const Reference& reference) const;
 
-  /// Native-first execution bookkeeping: counts `native` as a native
-  /// serve when it succeeded; otherwise counts and logs a native
-  /// fallback and returns `retry()` — the interpreter run of the same
-  /// program (a failed native attempt never writes the outputs).
-  template <typename Retry>
-  Status native_first(const Status& native, const blas3::Variant& v,
-                      const Retry& retry) const;
-
-  /// Compile + JIT every kernel of every snapshot entry into the exec
-  /// cache so the first request after a (re)load doesn't pay compile
-  /// latency.
-  void prewarm(const DispatchSnapshot& snap) const;
-
   /// Counter/histogram bookkeeping shared by every entry point.
   void count_request(const blas3::Variant& v) const;
 
@@ -322,12 +309,12 @@ class LibraryRuntime {
   /// Counts a request rejected before dispatch as failed.
   Status reject(const Status& status, double start_us) const;
 
-  gpusim::Simulator sim_;
-  RuntimeOptions options_;
+  const gpusim::DeviceModel& device_;
 
-  /// Bounded (LRU) cache of lowered/JIT'd kernels. Shared across
-  /// snapshots: hot reloads of an unchanged entry hit the cache because
-  /// keys are content-addressed.
+  /// Bounded (LRU) cache of lowered/JIT'd kernels, filled by snapshot
+  /// admission and by requests. Shared across snapshots: hot reloads of
+  /// an unchanged entry hit the cache because keys are
+  /// content-addressed.
   mutable exec::ExecCache exec_cache_;
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
@@ -346,8 +333,6 @@ class LibraryRuntime {
     obs::Counter* shed;
     obs::Counter* recovered_errors;
     obs::Counter* failed_requests;
-    obs::Counter* native_serves;
-    obs::Counter* native_fallbacks;
     obs::Counter* reloads;
     obs::Counter* batched_requests;
     obs::Counter* batched_members;

@@ -215,9 +215,10 @@ CheckResult check_differential(const gpusim::Simulator& sim,
 
   // Candidate execution, native-first: the exec backend computes the
   // answer; the interpreter is consulted only when lowering refuses the
-  // kernel (the runtime's fallback chain) or — below — to arbitrate a
-  // divergence. This is where the >=5x campaign wall-clock drop over
-  // interpreter-only differential runs comes from.
+  // kernel (the runtime would refuse such an entry at load; here the
+  // interpreter is the oracle for the raw composition) or — below — to
+  // arbitrate a divergence. This is where the >=5x campaign wall-clock
+  // drop over interpreter-only differential runs comes from.
   std::vector<Matrix> got_b = in.b;
   std::vector<Matrix> got_c = in.c;
   const char* backend = "interp";
@@ -479,8 +480,8 @@ CheckResult check_native(const gpusim::Simulator& sim, const FuzzCase& c) {
   if (!native.is_ok()) {
     if (native.code() == ErrorCode::kFailedPrecondition) {
       // Lowering refused the kernel (e.g. barrier under lane-divergent
-      // control flow) — the runtime falls back to the interpreter here,
-      // so this mirrors an expected degeneration, not a wrong answer.
+      // control flow) — the runtime refuses such an entry when it
+      // loads, so this is an expected refusal, not a wrong answer.
       return {Verdict::kRejected,
               "native lowering unsupported: " + sanitize(native.to_string())};
     }

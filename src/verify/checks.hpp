@@ -37,8 +37,10 @@ struct CheckResult {
 struct CheckOptions {
   /// Differential cases execute the candidate through the native exec
   /// backend first and consult the interpreter only on lowering
-  /// refusals and result divergences (the production fallback chain).
-  /// Clearing this forces every case through the interpreter — the
+  /// refusals and result divergences (here the interpreter is the
+  /// oracle for a raw fuzzed composition; the runtime instead refuses
+  /// an entry that does not lower when it loads). Clearing this forces
+  /// every case through the interpreter — the
   /// `oacheck --interp-differential` A/B lane CI uses to assert the
   /// native-first campaign speedup.
   bool differential_native_first = true;
@@ -83,7 +85,7 @@ CheckResult check_fastpath(const gpusim::Simulator& sim, const FuzzCase& c);
 /// backends stay within the reference tolerance (the lane-order
 /// freedom a racy kernel legitimately exposes). A kernel the backend
 /// cannot lower (barrier under lane-divergent control flow) rejects,
-/// mirroring the runtime's interpreter fallback.
+/// as the runtime refuses such an entry when it loads.
 CheckResult check_native(const gpusim::Simulator& sim, const FuzzCase& c);
 
 }  // namespace oa::verify

@@ -406,7 +406,7 @@ TEST(CallShape, EnvBindsTheFamilysDimsAndTheBatch) {
   const std::vector<Matrix> as(3, a), bs(3, b), cs(3, c);
   EXPECT_EQ(CallShape(*find_variant("GEMM_BATCHED-NN"), as, bs, &cs).env(),
             (ir::Env{{"M", 5}, {"N", 3}, {"K", 7}, {"BATCH", 3}}));
-  // Square shapes: what tuning and prewarming compile, at the batched
+  // Square shapes: what tuning and admission compile, at the batched
   // families' nominal batch.
   const CallShape sq = CallShape::square(*find_variant("GEMM_BATCHED-NN"), 64);
   EXPECT_EQ(sq.count(), 256);

@@ -200,11 +200,9 @@ TEST(LibraryRuntime, DispatchSizeUsesTrueFamilyDims) {
 }
 
 TEST(LibraryRuntime, FailedRequestIsNotReportedAsRecovered) {
-  runtime::RuntimeOptions options;
-  options.baseline_fallback = false;
-  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact(), options);
-  // SYMM-LL is not in the artifact and needs an output matrix: with
-  // the baseline disabled there is no path left.
+  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact());
+  // SYMM-LL is not in the artifact and needs an output matrix: the
+  // call is rejected before any path runs, so nothing can recover it.
   blas3::Matrix a, b, c;
   const Variant& symm = *blas3::find_variant("SYMM-LL");
   make_inputs(symm, 1, 32, a, b, c);
@@ -224,10 +222,8 @@ TEST(LibraryRuntime, RejectsInconsistentOperands) {
   // refuse it rather than answer from zero-padded staging (baseline) or
   // out-of-bounds reads (reference).
   const Variant& gemm = *blas3::find_variant("GEMM-NN");
-  for (bool baseline : {true, false}) {
-    runtime::RuntimeOptions options;
-    options.baseline_fallback = baseline;
-    LibraryRuntime rt(gpusim::gtx285(), Artifact{}, options);
+  {
+    LibraryRuntime rt(gpusim::gtx285(), Artifact{});
     Rng rng(0x4096);
     blas3::Matrix a(4, 4096), b(4, 4), c(4, 4);
     a.fill_random(rng);
@@ -296,7 +292,7 @@ TEST(LibraryRuntime, RejectsInconsistentOperands) {
   EXPECT_EQ(ragged.status().code(), ErrorCode::kInvalidArgument);
   const runtime::DispatchStats stats = rt.stats();
   EXPECT_EQ(stats.failed_requests, 3u);
-  EXPECT_EQ(stats.native_fallbacks, 0u);
+  EXPECT_EQ(stats.recovered_errors, 0u);
   EXPECT_EQ(stats.baseline_fallbacks, 0u);
 }
 
@@ -304,8 +300,7 @@ TEST(LibraryRuntime, EmptyCallsGoStraightToTheReference) {
   // A call with M, N or K = 0 holds no work for a kernel; the tuned and
   // baseline kernels would only refuse it (a degenerate launch or
   // array), so it must be answered by the reference without a single
-  // kernel error or native fallback — bit-for-bit the reference's
-  // output.
+  // kernel error — bit-for-bit the reference's output.
   struct Probe {
     const char* variant;
     int64_t ar, ac, br, bc;  // C matches the output: M x N
@@ -365,7 +360,6 @@ TEST(LibraryRuntime, EmptyCallsGoStraightToTheReference) {
   const runtime::DispatchStats stats = rt.stats();
   EXPECT_EQ(stats.reference_fallbacks, calls);
   EXPECT_EQ(stats.recovered_errors, 0u);
-  EXPECT_EQ(stats.native_fallbacks, 0u);
   EXPECT_EQ(stats.failed_requests, 0u);
 }
 
@@ -381,13 +375,17 @@ TEST(LibraryRuntime, MissFallsBackToTheBaselineCorrectly) {
   EXPECT_EQ(rt.stats().baseline_fallbacks, 3u);
 }
 
-TEST(LibraryRuntime, ReferenceFallbackWhenBaselineDisabled) {
-  runtime::RuntimeOptions options;
-  options.baseline_fallback = false;
-  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact(), options);
-  serve_and_check(rt, *blas3::find_variant("SYMM-LU"), 64,
-                  DispatchOutcome::kFallbackReference);
-  EXPECT_EQ(rt.stats().reference_fallbacks, 1u);
+TEST(LibraryRuntime, VariantWithoutABaselineFallsBackToTheReference) {
+  // The SYRK extension has no CUBLAS-like baseline schedule, so a call
+  // the artifact does not cover ends at the CPU reference.
+  LibraryRuntime rt(gpusim::gtx285(), gemm_artifact());
+  const Variant& syrk = *blas3::find_variant("SYRK-LN");
+  ASSERT_EQ(rt.snapshot()->baseline(runtime::variant_code(syrk)), nullptr);
+  serve_and_check(rt, syrk, 64, DispatchOutcome::kFallbackReference);
+  const runtime::DispatchStats stats = rt.stats();
+  EXPECT_EQ(stats.reference_fallbacks, 1u);
+  EXPECT_EQ(stats.native_serves, 0u);
+  EXPECT_EQ(stats.recovered_errors, 0u);
 }
 
 TEST(LibraryRuntime, MismatchedDeviceArtifactDegradesGracefully) {

@@ -1,8 +1,8 @@
 // Serving-path tests: hot reload (swap_artifact) under concurrent
 // load, admission control / load shedding, the shed-accounting
 // invariant documented in DispatchStats, and native execution (the
-// interpreter oracle, the interpreter fallback, the bounded exec
-// cache).
+// interpreter oracle, admission of entries that lower, the bounded
+// exec cache).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +16,7 @@
 #include "engine/evaluation_engine.hpp"
 #include "epod/script.hpp"
 #include "exec/annotate.hpp"
+#include "exec/tape.hpp"
 #include "libgen/artifact.hpp"
 #include "oa/oa.hpp"
 #include "obs/metrics.hpp"
@@ -316,9 +317,9 @@ TEST(NativeServing, ServesComputedResultsBitEqualToInterpreter) {
   EXPECT_EQ(blas3::max_abs_diff(c_interp, c_served), 0.0);
   const auto stats = rt.stats();
   EXPECT_EQ(stats.native_serves, 1u);
-  EXPECT_EQ(stats.native_fallbacks, 0u);
-  // The constructor pre-warmed the cache at tuned_size, so the serve
-  // itself (same size) compiled nothing.
+  EXPECT_EQ(stats.recovered_errors, 0u);
+  // Admission lowered the entry into the cache at tuned_size, so the
+  // serve itself (same size) compiled nothing.
   const exec::ExecStats xs = rt.exec_stats();
   EXPECT_GT(xs.compiles, 0);
   EXPECT_GT(xs.cache_hits, 0);
@@ -328,9 +329,7 @@ TEST(NativeServing, ServesComputedResultsBitEqualToInterpreter) {
 /// refuses: SM_alloc stages B inside the trapezoid loop *before*
 /// binding_triangular guards that loop with threadIdx == 0, so the
 /// staging barriers sit under a threadIdx-dependent branch — lowering's
-/// precondition rejects that statically. With 1x1-thread blocks every
-/// lane takes the branch, so the lockstep interpreter runs the kernel
-/// and computes the right answer.
+/// precondition rejects that statically, whatever the problem size.
 Artifact unlowerable_trmm_artifact() {
   Artifact artifact;
   artifact.device = gpusim::gtx285().name;
@@ -358,14 +357,40 @@ Artifact unlowerable_trmm_artifact() {
   return artifact;
 }
 
-TEST(NativeServing, UnlowerableKernelFallsBackToTheInterpreter) {
-  LibraryRuntime rt(gpusim::gtx285(), unlowerable_trmm_artifact());
-  ASSERT_TRUE(rt.load_status().is_ok()) << rt.load_status().to_string();
-  ASSERT_EQ(rt.table_size(), 1u);
-  // The prewarm already met (and negatively cached) the refusal.
+TEST(NativeServing, UnlowerableEntryIsRefusedAtLoad) {
+  const Artifact artifact = unlowerable_trmm_artifact();
+  const Variant& trmm = *blas3::find_variant("TRMM-LL-N");
+
+  // Refusal depends on the kernel's structure, not on the call size:
+  // the entry's kernel compiles and passes the launch gate at every
+  // size, and lowering refuses it at every size.
+  const libgen::ArtifactEntry& entry = artifact.entries.at(0);
+  auto eval = libgen::reconstruct(entry, trmm, {entry.candidate()});
+  ASSERT_TRUE(eval.is_ok()) << eval.status().to_string();
+  const std::map<std::string, bool> bools =
+      engine::bools_for(eval->candidate);
+  for (int64_t size : {16, 64, 75, 256}) {
+    const ir::Env env = blas3::CallShape::square(trmm, size).env();
+    for (const ir::Kernel& kernel : eval->program.kernels) {
+      auto ck = gpusim::compile_kernel(eval->program, kernel, env, bools);
+      ASSERT_TRUE(ck.is_ok()) << ck.status().to_string();
+      ASSERT_TRUE(gpusim::gate_launch(gpusim::gtx285(), *ck).is_ok());
+      auto lowered = exec::lower_kernel(*ck);
+      ASSERT_FALSE(lowered.is_ok()) << "n=" << size;
+      EXPECT_EQ(lowered.status().code(), ErrorCode::kFailedPrecondition)
+          << "n=" << size << ": " << lowered.status().to_string();
+    }
+  }
+
+  // Admission refuses the entry at load, naming it and why.
+  LibraryRuntime rt(gpusim::gtx285(), artifact);
+  ASSERT_FALSE(rt.load_status().is_ok());
+  EXPECT_NE(rt.load_status().message().find("TRMM-LL-N"), std::string::npos)
+      << rt.load_status().to_string();
+  EXPECT_EQ(rt.table_size(), 0u);
   EXPECT_EQ(rt.exec_stats().failed_lowerings, 1);
 
-  const Variant& trmm = *blas3::find_variant("TRMM-LL-N");
+  // Its calls take the baseline, which runs natively.
   constexpr int64_t n = 64;
   Rng rng(0x7A11);
   blas3::Matrix a(n, n), b(n, n), c(n, n);
@@ -377,15 +402,22 @@ TEST(NativeServing, UnlowerableKernelFallsBackToTheInterpreter) {
 
   auto outcome = rt.serve(trmm, a, b, &c);
   ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
-  EXPECT_EQ(*outcome, DispatchOutcome::kHit);
+  EXPECT_EQ(*outcome, DispatchOutcome::kFallbackBaseline);
   EXPECT_LE(blas3::max_abs_diff(c, ref_c),
             blas3::accumulation_tolerance(n));
 
   const runtime::DispatchStats stats = rt.stats();
-  EXPECT_EQ(stats.native_serves, 0u);
-  EXPECT_EQ(stats.native_fallbacks, 1u);
+  EXPECT_EQ(stats.baseline_fallbacks, 1u);
+  EXPECT_EQ(stats.native_serves, 1u);
+  EXPECT_EQ(stats.recovered_errors, 0u);
   EXPECT_EQ(stats.failed_requests, 0u);
-  EXPECT_EQ(rt.metrics().counter_value("runtime.native_fallbacks"), 1u);
+
+  // A hot reload refuses it the same way: the new snapshot publishes
+  // with an empty table.
+  LibraryRuntime swapped(gpusim::gtx285(), gemm_artifact());
+  ASSERT_EQ(swapped.table_size(), 1u);
+  EXPECT_FALSE(swapped.swap_artifact(artifact).is_ok());
+  EXPECT_EQ(swapped.table_size(), 0u);
 }
 
 /// The tuned GEMM-NN entry re-parameterised so its kernel spills on
@@ -409,8 +441,9 @@ Artifact spilling_gemm_artifact() {
 }
 
 TEST(NativeServing, PrewarmAndSidecarUseTheGatedKernel) {
-  // Spilling is part of the exec-cache key, so prewarm and the artifact
-  // sidecar must see the kernel after the launch gate, as serving does.
+  // Spilling is part of the exec-cache key, so admission (which warms
+  // the cache) and the artifact sidecar must see the kernel after the
+  // launch gate, as serving does.
   Artifact artifact = spilling_gemm_artifact();
   LibraryRuntime rt(gpusim::gtx285(), artifact);
   ASSERT_EQ(rt.table_size(), 1u) << rt.load_status().to_string();
@@ -429,7 +462,8 @@ TEST(NativeServing, PrewarmAndSidecarUseTheGatedKernel) {
             blas3::accumulation_tolerance(128));
   EXPECT_EQ(rt.stats().native_serves, 1u);
   EXPECT_EQ(rt.exec_stats().compiles, warmed)
-      << "the first run at the tuned size compiled a kernel prewarm missed";
+      << "the first run at the tuned size compiled a kernel admission "
+         "missed";
 
   // The sidecar records the key of the kernel serving compiled.
   ASSERT_TRUE(exec::annotate_artifact(artifact, gpusim::gtx285()).is_ok());
@@ -485,7 +519,7 @@ TEST(NativeServing, ExecCacheStaysBoundedAcrossCallShapes) {
   EXPECT_GE(xs.compiles, static_cast<int64_t>(shapes));
   EXPECT_LE(xs.entries, static_cast<int64_t>(bound));
   EXPECT_GT(xs.evictions, 0);
-  EXPECT_EQ(rt.stats().native_fallbacks, 0u);
+  EXPECT_EQ(rt.stats().recovered_errors, 0u);
 }
 
 }  // namespace
