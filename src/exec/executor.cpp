@@ -465,17 +465,11 @@ Status run_lowered(const ExecutedKernel& ek, gpusim::GlobalBuffers& buffers,
   return Status::ok();
 }
 
-namespace {
-
-/// Native execution of one validated call, single or batched: every
-/// global gets one allocation holding the members back to back, each
-/// member's operands are staged straight into their slice, every kernel
-/// is compiled, gated and launched once over all members, and each
-/// member's output is read straight back from its slice.
-Status run_call(const gpusim::DeviceModel& device, const ir::Program& program,
-                const blas3::CallShape& shape, std::span<blas3::Matrix> out,
-                const std::map<std::string, bool>& bool_params,
-                ExecCache& cache, const ExecOptions& options) {
+Status execute_call(const gpusim::DeviceModel& device,
+                    const ir::Program& program, const blas3::CallShape& shape,
+                    std::span<blas3::Matrix> out,
+                    const std::map<std::string, bool>& bool_params,
+                    ExecCache& cache, const ExecOptions& options) {
   const ir::Env int_params = shape.env();
   const size_t count = static_cast<size_t>(shape.count());
   // Reject a retargeted output shape before compiling or running
@@ -514,8 +508,6 @@ Status run_call(const gpusim::DeviceModel& device, const ir::Program& program,
   return Status::ok();
 }
 
-}  // namespace
-
 Status execute_program(const gpusim::DeviceModel& device,
                        const ir::Program& program,
                        const blas3::Variant& variant,
@@ -525,8 +517,8 @@ Status execute_program(const gpusim::DeviceModel& device,
                        ExecCache& cache, const ExecOptions& options) {
   const blas3::CallShape shape(variant, a, b, c);
   OA_RETURN_IF_ERROR(shape.validate());
-  return run_call(device, program, shape, {&shape.output_of(b, c), 1},
-                  bool_params, cache, options);
+  return execute_call(device, program, shape, {&shape.output_of(b, c), 1},
+                      bool_params, cache, options);
 }
 
 Status execute_batched(const gpusim::DeviceModel& device,
@@ -539,8 +531,8 @@ Status execute_batched(const gpusim::DeviceModel& device,
                        ExecCache& cache, const ExecOptions& options) {
   const blas3::CallShape shape(variant, a, b, c);
   OA_RETURN_IF_ERROR(shape.validate());
-  return run_call(device, program, shape, shape.output_of(b, c),
-                  bool_params, cache, options);
+  return execute_call(device, program, shape, shape.output_of(b, c),
+                      bool_params, cache, options);
 }
 
 }  // namespace oa::exec

@@ -5,7 +5,8 @@
 //     void seg(double* const* arrays, const int64_t* slots)
 // selected at runtime. execute_program() mirrors
 // engine::execute_program but computes results natively instead of
-// through the lockstep interpreter.
+// through the lockstep interpreter; both it and execute_batched() wrap
+// execute_call(), which runs one already-validated call.
 #pragma once
 
 #include <atomic>
@@ -14,9 +15,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "blas3/call_shape.hpp"
 #include "blas3/matrix.hpp"
 #include "blas3/routine.hpp"
 #include "exec/code_buffer.hpp"
@@ -117,6 +120,20 @@ class ExecCache {
 /// out-of-bounds accesses with the interpreter's diagnostic format.
 Status run_lowered(const ExecutedKernel& ek, gpusim::GlobalBuffers& buffers,
                    int64_t count, ExecCache* stats);
+
+/// Native execution of one call that already passed
+/// blas3::CallShape::validate, single or batched: every global gets one
+/// allocation holding the members back to back, each member's operands
+/// (read through `shape`) are staged straight into their slice, every
+/// kernel of `program` is compiled, gated, lowered and launched once
+/// over all members, and each member's output is read straight back
+/// from its slice into `out` (the members of shape.output()). Nothing
+/// is written to `out` unless every kernel succeeded.
+Status execute_call(const gpusim::DeviceModel& device,
+                    const ir::Program& program, const blas3::CallShape& shape,
+                    std::span<blas3::Matrix> out,
+                    const std::map<std::string, bool>& bool_params,
+                    ExecCache& cache, const ExecOptions& options = {});
 
 /// Native counterpart of engine::execute_program: validate the call
 /// (blas3::CallShape), compile, gate and lower every kernel of

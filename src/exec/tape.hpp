@@ -16,7 +16,9 @@
 //     must be lane-uniform (bounds/predicates referencing only block
 //     indices and enclosing driver loop variables) — the same
 //     precondition __syncthreads() imposes on real hardware. Kernels
-//     that violate it fail lowering and stay on the interpreter.
+//     that violate it fail lowering: the serving runtime refuses such
+//     an entry when it loads, and verification runs it on the
+//     interpreter.
 //   * per-segment flat *tapes* (TIns): straight-line instructions with
 //     explicit jumps for the sync-free loops and branches inside a
 //     segment. A tape runs per lane against the SysV-ABI frame
@@ -155,9 +157,10 @@ struct ErrorCell {
   int64_t col = 0;
 };
 
-/// Lower a compiled kernel. Fails (caller falls back to the
-/// interpreter) when a barrier sits under lane-divergent control flow
-/// or an FP expression exceeds the evaluation-stack bound.
+/// Lower a compiled kernel. Fails when a barrier sits under
+/// lane-divergent control flow or an FP expression exceeds the
+/// evaluation-stack bound; the serving runtime then refuses the entry
+/// at load, and verification runs the kernel on the interpreter.
 StatusOr<LoweredKernel> lower_kernel(const gpusim::CompiledKernel& ck);
 
 /// Content fingerprint of a compiled kernel — the exec-cache key.

@@ -233,7 +233,7 @@ void signature_walk(const std::vector<CNode>& body, int64_t* slots,
 
 /// Per-slot lane-affine classification under construction: affine[s]
 /// says lanes hold uniform_component + tx[s]*tx + ty[s]*ty; `defined`
-/// marks loop variables whose coefficients a defining loop has pinned
+/// marks loop variables whose coefficients a defining loop has fixed
 /// (a second defining loop must agree or the slot drops to irregular).
 struct AffineTable {
   std::vector<uint8_t> affine;
@@ -281,7 +281,7 @@ bool bound_coeffs(const CBound& b, const AffineTable& t, bool& first,
 /// lb + trips*step; the upper bound just stops the iteration, and the
 /// executor separately verifies lockstep trip counts at runtime).
 /// Monotone: affinity only ever drops, and a loop variable's
-/// coefficients are pinned once — a conflicting later definition (slot
+/// coefficients are fixed once — a conflicting later definition (slot
 /// reuse across loops) drops the slot to irregular instead of
 /// re-pinning.
 void affinity_walk(const std::vector<CNode>& body, AffineTable& t,

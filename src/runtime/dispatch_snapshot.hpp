@@ -11,9 +11,10 @@
 // request — happens once at snapshot build time.
 //
 // Snapshots are immutable after build() and published by the runtime
-// through an atomic shared_ptr: readers pin a snapshot for the
-// duration of one request, hot reloads build a fresh snapshot and
-// publish it without touching the one in-flight requests still hold.
+// as a shared_ptr under a mutex: each request copies the pointer once
+// and holds it for its whole life, hot reloads build a fresh snapshot
+// and publish it without touching the one in-flight requests still
+// hold.
 // Baseline fallback programs are part of the same picture: they are
 // built once per device into a BaselineTable (they depend only on
 // (variant, device), never on the artifact) and shared by every
@@ -105,7 +106,7 @@ class DispatchSnapshot {
       const gpusim::DeviceModel& device, libgen::Artifact artifact,
       std::shared_ptr<const BaselineTable> baselines, exec::ExecCache& cache);
 
-  /// The artifact this snapshot serves (kept for introspection; pin
+  /// The artifact this snapshot serves (kept for introspection; hold
   /// the snapshot while reading it).
   const libgen::Artifact& artifact() const { return artifact_; }
 

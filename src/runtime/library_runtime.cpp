@@ -19,14 +19,6 @@ const std::map<std::string, bool>& no_bool_params() {
   return empty;
 }
 
-/// Monotonic snapshot-version source, shared by every runtime in the
-/// process so a (destroyed runtime, recycled address) can never alias
-/// a live pinned() cache entry.
-uint64_t next_snapshot_version() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 /// Stats key for the per-family request split: the routine family with
 /// its batch qualifier ("GEMM", "GEMM_BATCHED", "GEMM_STRIDED_BATCHED",
 /// "TRSM", ...). Precisions share a key — the split already exists on
@@ -137,6 +129,7 @@ LibraryRuntime::LibraryRuntime(const gpusim::DeviceModel& device,
   ins_.failed_us = &metrics_->histogram("runtime.dispatch_us.failed");
   ins_.serve_us = &metrics_->histogram("runtime.serve_us");
   ins_.reload_us = &metrics_->histogram("runtime.reload_us");
+  ins_.table_size = &metrics_->gauge("runtime.table_size");
 
   baselines_ = BaselineTable::build(device);
   auto snap = DispatchSnapshot::build(device, std::move(artifact),
@@ -147,10 +140,7 @@ LibraryRuntime::LibraryRuntime(const gpusim::DeviceModel& device,
                      << (snap->table_size() == 0 ? " — serving fallbacks only"
                                                  : "");
   }
-  metrics_->gauge("runtime.table_size")
-      .set(static_cast<double>(snap->table_size()));
-  snapshot_.store(std::move(snap), std::memory_order_release);
-  version_.store(next_snapshot_version(), std::memory_order_release);
+  publish(std::move(snap));
 
   AdmissionController::Options adm;
   adm.slo_p99_us = options.slo_p99_us;
@@ -159,23 +149,23 @@ LibraryRuntime::LibraryRuntime(const gpusim::DeviceModel& device,
       std::make_unique<AdmissionController>(adm, ins_.serve_us);
 }
 
+void LibraryRuntime::publish(std::shared_ptr<const DispatchSnapshot> snap) {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  ins_.table_size->set(static_cast<double>(snap->table_size()));
+  // The replaced snapshot lands in `snap` and is released after the
+  // lock, by whichever of it and the requests holding it goes last.
+  snapshot_.swap(snap);
+}
+
 Status LibraryRuntime::swap_artifact(libgen::Artifact artifact) {
   const double start_us = obs::now_us();
-  Status status;
-  {
-    // One snapshot build at a time; lookups never take this lock.
-    // Admission lowers every entry into the exec cache *before*
-    // publishing, so requests never race a cold compile after a reload
-    // (unchanged entries hit anyway — keys are content-addressed).
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    auto snap = DispatchSnapshot::build(device_, std::move(artifact),
-                                        baselines_, exec_cache_);
-    status = snap->load_status();
-    metrics_->gauge("runtime.table_size")
-        .set(static_cast<double>(snap->table_size()));
-    snapshot_.store(std::move(snap), std::memory_order_release);
-    version_.store(next_snapshot_version(), std::memory_order_release);
-  }
+  // Admission lowers every entry into the exec cache *before*
+  // publishing, so requests never race a cold compile after a reload
+  // (unchanged entries hit anyway — keys are content-addressed).
+  std::shared_ptr<const DispatchSnapshot> snap = DispatchSnapshot::build(
+      device_, std::move(artifact), baselines_, exec_cache_);
+  const Status status = snap->load_status();
+  publish(std::move(snap));
   ins_.reloads->add();
   ins_.reload_us->record(obs::now_us() - start_us);
   if (!status.is_ok()) {
@@ -190,26 +180,6 @@ int64_t LibraryRuntime::dispatch_size(const Variant& v,
                                       const blas3::Matrix& b,
                                       const blas3::Matrix* c) {
   return blas3::CallShape(v, a, b, c).dispatch_size();
-}
-
-const std::shared_ptr<const DispatchSnapshot>& LibraryRuntime::pinned()
-    const {
-  struct Cache {
-    uint64_t version = 0;  // 0 is never a published version
-    std::shared_ptr<const DispatchSnapshot> pin;
-  };
-  thread_local Cache cache;
-  // Publication order is snapshot_ then version_, so a reader that
-  // observes a version observes at least that version's snapshot; a
-  // reader that loses the race serves one request on the snapshot it
-  // already pinned, exactly as if the reload had landed a moment
-  // later.
-  const uint64_t v = version_.load(std::memory_order_acquire);
-  if (cache.version != v) {
-    cache.pin = snapshot_.load(std::memory_order_acquire);
-    cache.version = v;
-  }
-  return cache.pin;
 }
 
 LibraryRuntime::Dispatch LibraryRuntime::dispatch_on(
@@ -228,9 +198,9 @@ LibraryRuntime::Dispatch LibraryRuntime::dispatch_on(
 
 LibraryRuntime::Dispatch LibraryRuntime::dispatch(const Variant& v,
                                                   int64_t n) const {
-  const std::shared_ptr<const DispatchSnapshot>& pin = pinned();
-  Dispatch d = dispatch_on(*pin, v, n);
-  d.snapshot = pin;  // the caller's own pin for the pointers handed out
+  std::shared_ptr<const DispatchSnapshot> snap = snapshot();
+  Dispatch d = dispatch_on(*snap, v, n);
+  d.snapshot = std::move(snap);  // keeps the pointers handed out alive
   return d;
 }
 
@@ -242,21 +212,19 @@ void LibraryRuntime::count_request(const Variant& v) const {
       ->add();
 }
 
-template <typename Execute, typename Reference>
-StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
+StatusOr<DispatchOutcome> LibraryRuntime::serve_call(
     const blas3::CallShape& shape, const Variant& v, double start_us,
-    const Execute& execute, const Reference& reference) const {
-  // One snapshot pin for the whole request: dispatch, execution and
+    std::span<blas3::Matrix> b, std::span<blas3::Matrix> c) const {
+  // One snapshot for the whole request: dispatch, execution and
   // fallbacks all resolve against the same immutable table, however
-  // many hot reloads land meanwhile. The thread-local pin stays put
-  // for the whole serve (this thread only refreshes it on its next
-  // request).
-  const DispatchSnapshot& snap = *pinned();
+  // many hot reloads land meanwhile.
+  const std::shared_ptr<const DispatchSnapshot> snap = snapshot();
   // An empty call has no work for a kernel, and the tuned and baseline
   // kernels would only refuse it: the reference answers it.
   const bool kernels = !shape.empty();
   const Dispatch d =
-      kernels ? dispatch_on(snap, v, shape.dispatch_size()) : Dispatch{};
+      kernels ? dispatch_on(*snap, v, shape.dispatch_size()) : Dispatch{};
+  const std::span<blas3::Matrix> out = shape.output_of(b, &c);
   // Whole-call latency lands in the histogram of the *final* outcome,
   // so p99 per path answers "what does a request cost when it ends up
   // here" — including the failed attempts before it.
@@ -271,7 +239,8 @@ StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
   uint64_t pending_errors = 0;
 
   if (d.program != nullptr) {
-    Status served = execute(*d.program, *d.bool_params);
+    Status served = exec::execute_call(device_, *d.program, shape, out,
+                                       *d.bool_params, exec_cache_);
     if (served.is_ok()) {
       if (d.outcome == DispatchOutcome::kHit) {
         ins_.hits->add();
@@ -294,9 +263,10 @@ StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
   }
 
   const ir::Program* base =
-      kernels ? snap.baseline(variant_code(v)) : nullptr;
+      kernels ? snap->baseline(variant_code(v)) : nullptr;
   if (base != nullptr) {
-    Status served = execute(*base, no_bool_params());
+    Status served = exec::execute_call(device_, *base, shape, out,
+                                       no_bool_params(), exec_cache_);
     if (served.is_ok()) {
       ins_.baseline_fallbacks->add();
       ins_.recovered_errors->add(pending_errors);
@@ -306,16 +276,21 @@ StatusOr<DispatchOutcome> LibraryRuntime::serve_with(
     ++pending_errors;
   }
 
-  reference();
+  // execute_call writes no output unless every kernel succeeded, so the
+  // reference starts from the caller's operands (TRSM solves b in place).
+  const std::span<const blas3::Matrix> a = shape.operand("A");
+  for (size_t i = 0; i < a.size(); ++i) {
+    blas3::run_reference(v, a[i], b[i], c.empty() ? nullptr : &c[i]);
+  }
   ins_.reference_fallbacks->add();
   ins_.recovered_errors->add(pending_errors);
   settle(ins_.reference_us);
   return DispatchOutcome::kFallbackReference;
 }
 
-template <typename ServeCall>
+template <typename RunOne>
 StatusOr<DispatchOutcome> LibraryRuntime::admitted(
-    const Variant& v, const ServeCall& serve_call) const {
+    const Variant& v, const RunOne& run_one) const {
   const double start_us = obs::now_us();
   // The depth the candidate sees excludes itself.
   if (!admission_->admit(in_flight_.load(std::memory_order_relaxed))) {
@@ -325,7 +300,7 @@ StatusOr<DispatchOutcome> LibraryRuntime::admitted(
     return DispatchOutcome::kShed;
   }
   in_flight_.fetch_add(1, std::memory_order_relaxed);
-  StatusOr<DispatchOutcome> outcome = serve_call();
+  StatusOr<DispatchOutcome> outcome = run_one();
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
   return outcome;
 }
@@ -346,26 +321,9 @@ StatusOr<DispatchOutcome> LibraryRuntime::run(const Variant& v,
   if (Status bad = shape.validate(); !bad.is_ok()) {
     return reject(bad, start_us);
   }
-
-  auto execute = [&](const ir::Program& program,
-                     const std::map<std::string, bool>& bools) {
-    return exec::execute_program(device_, program, v, a, b, c, bools,
-                                 exec_cache_);
-  };
-  auto reference = [&] {
-    if (v.family == blas3::Family::kTrsm) {
-      // TRSM solves in place in b; stage into a copy so a failed kernel
-      // attempt above can't have left partial results behind.
-      blas3::Matrix b_ref = b;
-      blas3::run_reference(v, a, b_ref, c);
-      b = std::move(b_ref);
-    } else {
-      // Every other family only *reads* b (output goes to c), so the
-      // staging copy is pure waste.
-      blas3::run_reference(v, a, b, c);
-    }
-  };
-  return serve_with(shape, v, start_us, execute, reference);
+  return serve_call(shape, v, start_us, {&b, 1},
+                    c != nullptr ? std::span<blas3::Matrix>(c, 1)
+                                 : std::span<blas3::Matrix>());
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::serve(const Variant& v,
@@ -398,17 +356,9 @@ StatusOr<DispatchOutcome> LibraryRuntime::run_batched(
   // One member-size dispatch for the whole batch; the batched variant
   // has its own code, so tuned batched entries never collide with
   // single-GEMM ones.
-  auto execute = [&](const ir::Program& program,
-                     const std::map<std::string, bool>& bools) {
-    return exec::execute_batched(device_, program, v, a, b, c, bools,
-                                 exec_cache_);
-  };
-  auto reference = [&] {
-    for (size_t i = 0; i < a.size(); ++i) {
-      blas3::run_reference(v, a[i], b[i], &(*c)[i]);
-    }
-  };
-  return serve_with(shape, v, start_us, execute, reference);
+  return serve_call(shape, v, start_us, b,
+                    c != nullptr ? std::span<blas3::Matrix>(*c)
+                                 : std::span<blas3::Matrix>());
 }
 
 StatusOr<DispatchOutcome> LibraryRuntime::serve_batched(
@@ -461,8 +411,8 @@ DispatchStats LibraryRuntime::stats() const {
 void LibraryRuntime::reset_stats() {
   metrics_->reset("runtime.");
   // The table itself survives a stats sweep; restore its size gauge.
-  metrics_->gauge("runtime.table_size")
-      .set(static_cast<double>(snapshot()->table_size()));
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  ins_.table_size->set(static_cast<double>(snapshot_->table_size()));
 }
 
 }  // namespace oa::runtime

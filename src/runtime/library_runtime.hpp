@@ -7,13 +7,14 @@
 // re-tuning on the serving path.
 //
 // Serving architecture (docs/SERVING.md):
-//   * lock-free snapshot dispatch — every request pins an immutable
-//     DispatchSnapshot through an atomic shared_ptr and resolves its
-//     (variant code, size bucket) cell with two array loads; no maps,
-//     no string keys, no per-request copies on the hot path;
+//   * snapshot dispatch — every request takes one copy of the
+//     shared_ptr to the immutable DispatchSnapshot (published under a
+//     mutex) and resolves its (variant code, size bucket) cell with two
+//     array loads; no maps, no string keys;
 //   * hot reload — swap_artifact() builds a fresh snapshot from a new
-//     artifact and publishes it atomically; in-flight requests finish
-//     on the snapshot they pinned, so a reload never drops a request;
+//     artifact off the lock and publishes it under it; in-flight
+//     requests finish on the snapshot they hold, so a reload never
+//     drops a request;
 //   * native execution — dispatched kernels run as JIT-lowered native
 //     code (src/exec). A snapshot admits an artifact entry only if its
 //     kernels lower, and leaves them in the exec cache, so every tuned
@@ -44,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -153,11 +155,12 @@ class LibraryRuntime {
 
   const gpusim::DeviceModel& device() const { return device_; }
 
-  /// Pins and returns the current snapshot (artifact, load status,
-  /// entries). The snapshot stays valid as long as the returned
-  /// pointer lives, across any number of concurrent swap_artifact()s.
+  /// The current snapshot (artifact, load status, entries). It stays
+  /// valid as long as the returned pointer lives, across any number of
+  /// concurrent swap_artifact()s.
   std::shared_ptr<const DispatchSnapshot> snapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    return snapshot_;
   }
 
   /// OK when every entry of the *current* snapshot's artifact was
@@ -167,14 +170,14 @@ class LibraryRuntime {
   /// Number of servable tuned kernels in the current snapshot.
   size_t table_size() const { return snapshot()->table_size(); }
 
-  /// Hot reload: build a snapshot for `artifact` and publish it
-  /// atomically. In-flight requests finish on the snapshot they
-  /// pinned; new requests dispatch against the new one — zero dropped
-  /// requests by construction. Returns the new snapshot's load status
-  /// (a degraded artifact still publishes, mirroring the
-  /// constructor). Thread-safe against serving and against concurrent
-  /// swaps; the build runs on the calling thread, off the serving
-  /// threads.
+  /// Hot reload: build a snapshot for `artifact` and publish it.
+  /// In-flight requests finish on the snapshot they hold; new requests
+  /// dispatch against the new one — zero dropped requests by
+  /// construction. Returns the new snapshot's load status (a degraded
+  /// artifact still publishes, mirroring the constructor). Thread-safe
+  /// against serving and against concurrent swaps (the last to publish
+  /// wins); the build runs on the calling thread, outside the
+  /// publication lock.
   Status swap_artifact(libgen::Artifact artifact);
 
   /// The power-of-two problem-size bucket of n (floor(log2(n))).
@@ -193,7 +196,7 @@ class LibraryRuntime {
 
   /// Result of a dispatch lookup (no execution, no counter updates).
   /// `program` and `bool_params` point into `snapshot`, which the
-  /// Dispatch pins: they stay valid until the Dispatch is destroyed,
+  /// Dispatch holds: they stay valid until the Dispatch is destroyed,
   /// hot reloads notwithstanding.
   struct Dispatch {
     DispatchOutcome outcome = DispatchOutcome::kFallbackReference;
@@ -236,8 +239,9 @@ class LibraryRuntime {
   /// shape; a call that fails blas3::CallShape::validate (a ragged
   /// batch included) is rejected with invalid_argument.
   /// Dispatch resolves on the member size under the batched variant's
-  /// own code; execution is native (the fused exec::execute_batched),
-  /// falling back to the baseline, then to the CPU reference loop.
+  /// own code; execution is native (one fused exec::execute_call over
+  /// every member), falling back to the baseline, then to the CPU
+  /// reference loop.
   /// Thread-safe; never sheds.
   StatusOr<DispatchOutcome> run_batched(const blas3::Variant& v,
                                         const std::vector<blas3::Matrix>& a,
@@ -263,48 +267,37 @@ class LibraryRuntime {
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  /// The serving hot path's snapshot pin. `snapshot_` is a lock-based
-  /// atomic<shared_ptr> (libstdc++), so loading it per request costs
-  /// several atomic RMWs and, worse, a spinlock a preempted reader can
-  /// hold across a scheduling quantum. pinned() instead keeps one
-  /// shared_ptr pin per (thread, published version) in a thread-local
-  /// cache keyed by a globally-unique version stamp: steady-state
-  /// requests pay two plain atomic loads, and only the first request a
-  /// thread makes after a hot reload (or against a new runtime) takes
-  /// the slow path. The returned reference is stable until this thread
-  /// calls pinned() again — callers must finish one request per call,
-  /// which run()/run_batched() do.
-  const std::shared_ptr<const DispatchSnapshot>& pinned() const;
-
-  /// Lookup against a pinned snapshot (no refcount traffic).
+  /// Lookup against a snapshot the caller holds.
   Dispatch dispatch_on(const DispatchSnapshot& snap,
                        const blas3::Variant& v, int64_t n) const;
 
   /// The serving tail shared by run() and run_batched() for a
-  /// validated call: dispatch on one snapshot pin, run the dispatched
-  /// program, walk the fallback chain (baseline program, then CPU
-  /// reference), settle counters and the latency histogram of the
+  /// validated call: dispatch on one snapshot, run the dispatched
+  /// program natively, walk the fallback chain (baseline program, then
+  /// CPU reference), settle counters and the latency histogram of the
   /// final outcome. An empty call (CallShape::empty) goes straight to
-  /// the reference. `execute(program, bool_params)` runs one program
-  /// on the call's operands; `reference()` answers the call on the
-  /// CPU. `start_us` is when the request entered the runtime.
-  template <typename Execute, typename Reference>
-  StatusOr<DispatchOutcome> serve_with(const blas3::CallShape& shape,
+  /// the reference. `b` and `c` are the call's members (`c` empty when
+  /// the call passed none); `start_us` is when the request entered the
+  /// runtime.
+  StatusOr<DispatchOutcome> serve_call(const blas3::CallShape& shape,
                                        const blas3::Variant& v,
                                        double start_us,
-                                       const Execute& execute,
-                                       const Reference& reference) const;
+                                       std::span<blas3::Matrix> b,
+                                       std::span<blas3::Matrix> c) const;
+
+  /// Publishes `snap` and its table-size gauge under the lock.
+  void publish(std::shared_ptr<const DispatchSnapshot> snap);
 
   /// Counter/histogram bookkeeping shared by every entry point.
   void count_request(const blas3::Variant& v) const;
 
-  /// serve()/serve_batched(): admission control around `serve_call()`
+  /// serve()/serve_batched(): admission control around `run_one()`
   /// (run() or run_batched()). A refused request counts as shed and
   /// returns kShed; an admitted one counts toward the in-flight depth
   /// while it is served.
-  template <typename ServeCall>
+  template <typename RunOne>
   StatusOr<DispatchOutcome> admitted(const blas3::Variant& v,
-                                     const ServeCall& serve_call) const;
+                                     const RunOne& run_one) const;
 
   /// Counts a request rejected before dispatch as failed.
   Status reject(const Status& status, double start_us) const;
@@ -348,6 +341,7 @@ class LibraryRuntime {
     obs::Histogram* failed_us;
     obs::Histogram* serve_us;       // all outcomes; admission reads it
     obs::Histogram* reload_us;      // snapshot build + publish time
+    obs::Gauge* table_size;         // of the published snapshot
   };
   Instruments ins_;
 
@@ -355,15 +349,11 @@ class LibraryRuntime {
   /// shared by every snapshot this runtime publishes.
   std::shared_ptr<const BaselineTable> baselines_;
 
-  /// The published serving table. Readers load-acquire and pin;
-  /// swap_artifact() store-releases a fresh snapshot.
-  std::atomic<std::shared_ptr<const DispatchSnapshot>> snapshot_;
-  /// Globally-unique stamp of the published snapshot (bumped on every
-  /// publish, never reused across runtimes) — the pinned() cache key.
-  std::atomic<uint64_t> version_{0};
-  /// Serializes snapshot builds (not lookups) across concurrent
-  /// swap_artifact() calls.
-  mutable std::mutex swap_mu_;
+  /// The published serving table. Each request copies the pointer
+  /// once under the mutex and serves on that copy; publish() replaces
+  /// it.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const DispatchSnapshot> snapshot_;
 
   /// serve() machinery; mutable because serving is logically const.
   mutable std::unique_ptr<AdmissionController> admission_;

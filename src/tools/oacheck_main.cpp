@@ -57,11 +57,8 @@ int usage() {
       "  --check LIST          comma list of checks to run:\n"
       "                        differential,roundtrip,mutation,fastpath,"
       "native\n"
-      "                        (default: all four)\n"
+      "                        (default: all five)\n"
       "  --max-size N          cap fuzzed problem extents (default 96)\n"
-      "  --interp-differential run differential cases interpreter-only\n"
-      "                        (default executes native-first; this is\n"
-      "                        the slow A/B lane CI times against)\n"
       "  --corpus DIR          also run every *.case reproducer in DIR\n"
       "  --write-corpus DIR    persist failing fuzzed cases to DIR as\n"
       "                        *.case reproducer files\n"
@@ -201,8 +198,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage();
       options.write_corpus_dir = v;
-    } else if (arg == "--interp-differential") {
-      options.check.differential_native_first = false;
     } else if (arg == "--repro") {
       const char* v = next();
       if (v == nullptr) return usage();

@@ -118,20 +118,9 @@ int usage() {
       "  --metrics-out FILE                  export the process-wide "
       "metrics registry as JSON on exit\n"
       "  --trace-out FILE                    export collected spans as "
-      "Chrome trace JSON on exit\n"
-      "  --serve-slo-us N                    self-check serve(): p99 "
-      "latency SLO in us (0 = no shedding)\n"
-      "  --serve-max-depth N                 self-check serve(): hard "
-      "in-flight bound (0 = unbounded)\n");
+      "Chrome trace JSON on exit\n");
   return 2;
 }
-
-/// serve()-path knobs plumbed from the command line into the
-/// self-check's RuntimeOptions.
-struct ServeFlags {
-  int64_t slo_p99_us = 0;      // --serve-slo-us (0 = no SLO shedding)
-  int64_t max_depth = 0;       // --serve-max-depth (0 = unbounded)
-};
 
 /// Serve every artifact entry through a LibraryRuntime sharing the
 /// process-wide registry, so a `--metrics-out` export also carries the
@@ -143,12 +132,9 @@ struct ServeFlags {
 /// execution, the production path — so the export reflects the
 /// deployed configuration (docs/SERVING.md).
 void serving_self_check(const gpusim::DeviceModel& device,
-                        libgen::Artifact artifact,
-                        const ServeFlags& serve_flags) {
+                        libgen::Artifact artifact) {
   runtime::RuntimeOptions ropt;
   ropt.metrics = &obs::MetricsRegistry::global();
-  ropt.slo_p99_us = static_cast<double>(serve_flags.slo_p99_us);
-  ropt.max_queue_depth = static_cast<size_t>(serve_flags.max_depth);
   runtime::LibraryRuntime rt(device, std::move(artifact), ropt);
   for (const libgen::ArtifactEntry& entry :
        rt.snapshot()->artifact().entries) {
@@ -216,7 +202,6 @@ int main(int argc, char** argv) {
        exhaustive = false, no_cache = false, engine_stats = false,
        no_fastpath = false, no_warm_start = false, seed_warm_start = false,
        dump_scripts = false, quick = false, tuning_size_set = false;
-  ServeFlags serve_flags;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -301,10 +286,6 @@ int main(int argc, char** argv) {
       if (!next_str(&metrics_out)) return usage();
     } else if (arg == "--trace-out") {
       if (!next_str(&trace_out)) return usage();
-    } else if (arg == "--serve-slo-us") {
-      if (!next_int(0, &serve_flags.slo_p99_us)) return usage();
-    } else if (arg == "--serve-max-depth") {
-      if (!next_int(0, &serve_flags.max_depth)) return usage();
     } else {
       std::fprintf(stderr, "oagen: unknown flag '%s'\n", arg.c_str());
       return usage();
@@ -500,7 +481,7 @@ int main(int argc, char** argv) {
                   emit_lib.c_str());
     }
     if (!metrics_out.empty()) {
-      serving_self_check(*device, framework.export_library(), serve_flags);
+      serving_self_check(*device, framework.export_library());
     }
     return failures == 0 ? 0 : 1;
   }
@@ -607,7 +588,7 @@ int main(int argc, char** argv) {
     std::printf("\n%s\n", ir::to_string(tuned->program).c_str());
   }
   if (!metrics_out.empty()) {
-    serving_self_check(*device, framework.export_library(), serve_flags);
+    serving_self_check(*device, framework.export_library());
   }
   return 0;
 }

@@ -184,11 +184,9 @@ const char* verdict_name(Verdict v) {
   return "?";
 }
 
-CheckResult check_case(const gpusim::Simulator& sim, const FuzzCase& c,
-                       const CheckOptions& options) {
+CheckResult check_case(const gpusim::Simulator& sim, const FuzzCase& c) {
   switch (c.kind) {
-    case CheckKind::kDifferential:
-      return check_differential(sim, c, options);
+    case CheckKind::kDifferential: return check_differential(sim, c);
     case CheckKind::kRoundTrip: return check_roundtrip(c);
     case CheckKind::kMutation: return check_mutation(c);
     case CheckKind::kFastPath: return check_fastpath(sim, c);
@@ -198,8 +196,7 @@ CheckResult check_case(const gpusim::Simulator& sim, const FuzzCase& c,
 }
 
 CheckResult check_differential(const gpusim::Simulator& sim,
-                               const FuzzCase& c,
-                               const CheckOptions& options) {
+                               const FuzzCase& c) {
   ir::Program program = blas3::make_source_program(c.variant);
   auto mask = apply_like_engine(program, c);
   if (!mask.is_ok()) {
@@ -217,21 +214,14 @@ CheckResult check_differential(const gpusim::Simulator& sim,
   // answer; the interpreter is consulted only when lowering refuses the
   // kernel (the runtime would refuse such an entry at load; here the
   // interpreter is the oracle for the raw composition) or — below — to
-  // arbitrate a divergence. This is where the >=5x campaign wall-clock
-  // drop over interpreter-only differential runs comes from.
+  // arbitrate a divergence.
   std::vector<Matrix> got_b = in.b;
   std::vector<Matrix> got_c = in.c;
-  const char* backend = "interp";
-  Status run;
-  if (options.differential_native_first) {
-    run = exec::execute_batched(sim.device(), program, c.variant, in.a,
-                                got_b, &got_c, bools, shared_exec_cache());
-    backend = "native";
-  } else {
-    run = engine::execute_batched(sim, program, c.variant, in.a, got_b,
-                                  &got_c, bools);
-  }
-  if (!run.is_ok() && options.differential_native_first) {
+  const char* backend = "native";
+  Status run = exec::execute_batched(sim.device(), program, c.variant, in.a,
+                                     got_b, &got_c, bools,
+                                     shared_exec_cache());
+  if (!run.is_ok()) {
     got_b = in.b;
     got_c = in.c;
     run = engine::execute_batched(sim, program, c.variant, in.a, got_b,

@@ -33,34 +33,22 @@ struct CheckResult {
   std::string detail;  // deterministic, printable one-liner
 };
 
-/// Knobs the harness threads into individual checks.
-struct CheckOptions {
-  /// Differential cases execute the candidate through the native exec
-  /// backend first and consult the interpreter only on lowering
-  /// refusals and result divergences (here the interpreter is the
-  /// oracle for a raw fuzzed composition; the runtime instead refuses
-  /// an entry that does not lower when it loads). Clearing this forces
-  /// every case through the interpreter — the
-  /// `oacheck --interp-differential` A/B lane CI uses to assert the
-  /// native-first campaign speedup.
-  bool differential_native_first = true;
-};
-
 /// Dispatch on c.kind.
-CheckResult check_case(const gpusim::Simulator& sim, const FuzzCase& c,
-                       const CheckOptions& options = {});
+CheckResult check_case(const gpusim::Simulator& sim, const FuzzCase& c);
 
 /// (1) Differential numerics: apply the fuzzed script leniently (like
 /// the engine), run the kernel functionally at the fuzzed rectangular
 /// shape, compare against blas3::run_reference (a loop of per-member
-/// references for the batched families). Candidates execute
-/// native-first (see CheckOptions); a mismatch only fails the case
-/// when the same program *passes* the engine's standard square
-/// verification — i.e. when the library would have shipped this kernel
-/// and then served a wrong answer at this shape.
+/// references for the batched families). Candidates execute through
+/// the native exec backend; the interpreter runs one only when lowering
+/// refuses it (the interpreter is the oracle for a raw fuzzed
+/// composition; the runtime instead refuses an entry that does not
+/// lower when it loads) and arbitrates result divergences. A mismatch
+/// only fails the case when the same program *passes* the engine's
+/// standard square verification — i.e. when the library would have
+/// shipped this kernel and then served a wrong answer at this shape.
 CheckResult check_differential(const gpusim::Simulator& sim,
-                               const FuzzCase& c,
-                               const CheckOptions& options = {});
+                               const FuzzCase& c);
 
 /// (2) Round trip: epod::parse(to_text(s)) == s (and re-serializes to
 /// identical bytes), plus the same property for the one-entry synthetic

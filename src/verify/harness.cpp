@@ -76,7 +76,7 @@ Harness::Harness(const gpusim::DeviceModel& device, HarnessOptions options)
 CaseResult Harness::run_case(const FuzzCase& c) const {
   CaseResult r;
   r.fuzz = c;
-  CheckResult check = check_case(sim_, c, options_.check);
+  CheckResult check = check_case(sim_, c);
   r.verdict = check.verdict;
   r.detail = std::move(check.detail);
   return r;

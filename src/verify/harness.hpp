@@ -19,8 +19,6 @@ struct HarnessOptions {
   uint64_t seed = 1;
   uint64_t cases = 500;
   FuzzerOptions fuzzer;
-  /// Per-check knobs (native-first differential etc.).
-  CheckOptions check;
   /// Directory of checked-in *.case reproducers to run before the
   /// fuzzed stream (empty: skip).
   std::string corpus_dir;

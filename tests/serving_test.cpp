@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -183,6 +184,23 @@ TEST(SwapArtifact, SwapUnderLoadDropsNoRequests) {
                 stats.failed_requests);
   EXPECT_EQ(stats.failed_requests, 0u);
   EXPECT_EQ(stats.shed, 0u);  // run() never sheds
+}
+
+TEST(SwapArtifact, DestroyedRuntimeReleasesItsSnapshot) {
+  // A request holds its snapshot only while it is served: once the
+  // runtime is gone, nothing the serving thread keeps may hold its
+  // table (or the baselines it shares) alive.
+  std::weak_ptr<const runtime::DispatchSnapshot> weak;
+  {
+    LibraryRuntime rt(gpusim::gtx285(), gemm_artifact());
+    weak = rt.snapshot();
+    blas3::Matrix a, b, c;
+    make_inputs(64, 0x5A17, a, b, c);
+    auto outcome = rt.serve(*blas3::find_variant("GEMM-NN"), a, b, &c);
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    EXPECT_NE(*outcome, DispatchOutcome::kShed);
+  }
+  EXPECT_TRUE(weak.expired()) << "the destroyed runtime's snapshot lives on";
 }
 
 // --- admission control / shedding ------------------------------------
