@@ -126,12 +126,39 @@ BENCHMARK(BM_DependenceTest);
 // at N=4096 on every device preset, fast path on vs off, and writes
 // per-device, per-precision ns/block, speedup, and fast-path coverage
 // (f64's 8-byte accesses price differently, so its ghost throughput is
-// tracked separately). CI uploads the file as an artifact;
-// EXPERIMENTS.md records representative numbers.
+// tracked separately). Triangular rows price the unpadded version of a
+// padded TRMM-RL-N schedule (16x16 threads, `k = max(j, kk)`) on two
+// blocks of an N=512 grid: the last block column, whose k range is its
+// own diagonal band, and the first, whose k tiles lie mostly off the
+// diagonal. CI uploads the file as an artifact; EXPERIMENTS.md records
+// representative numbers.
+
+ir::Program unpadded_trmm() {
+  ir::Program p =
+      blas3::make_source_program(*blas3::find_variant("TRMM-RL-N"));
+  transforms::TransformContext ctx;
+  ctx.params.block_tile_y = 64;
+  ctx.params.block_tile_x = 64;
+  ctx.params.threads_y = 16;
+  ctx.params.threads_x = 16;
+  auto script = epod::parse_script(R"(
+    (Lii, Ljj) = thread_grouping(Li, Lj);
+    (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
+    padding_triangular(A);
+    SM_alloc(B, Transpose);
+    reg_alloc(C);
+  )");
+  if (!script.is_ok()) std::abort();
+  auto mask = epod::apply_script_lenient(p, *script, ctx);
+  if (!mask.is_ok()) std::abort();
+  return p;
+}
 
 struct DeviceReport {
   std::string name;
   std::string precision;
+  std::string block;  // triangular rows: "diagonal" / "off-diagonal"
+  int64_t by = 0, bx = 0;
   double interp_ns = 0.0;
   double fast_ns = 0.0;
   double coverage = 0.0;
@@ -141,12 +168,13 @@ struct DeviceReport {
 
 double time_ghost_block(const gpusim::CompiledKernel& ck,
                         const gpusim::DeviceModel& dev, bool fastpath,
-                        gpusim::FastPathStats* stats_out) {
+                        gpusim::FastPathStats* stats_out, int64_t by = 0,
+                        int64_t bx = 0) {
   const int threads = static_cast<int>(ck.launch.threads_per_block());
   auto run_once = [&]() {
     gpusim::BlockSim sim(ck, dev, /*functional=*/false, nullptr, fastpath);
     gpusim::Counters c;
-    if (!sim.run(0, 0, 0, threads, c).is_ok()) std::abort();
+    if (!sim.run(by, bx, 0, threads, c).is_ok()) std::abort();
     if (stats_out != nullptr) *stats_out = sim.fastpath_stats();
   };
   run_once();  // warmup
@@ -198,29 +226,78 @@ int write_json_report(const std::string& path) {
           r.coverage * 100.0);
     }
   }
+  std::vector<DeviceReport> triangular;
+  {
+    const ir::Program p = unpadded_trmm();
+    auto compiled = gpusim::compile_kernel(p, p.main_kernel(),
+                                           {{"M", 512}, {"N", 512}}, {});
+    if (!compiled.is_ok()) {
+      std::fprintf(stderr, "compile failed: %s\n",
+                   compiled.status().to_string().c_str());
+      return 1;
+    }
+    const int64_t last = compiled->launch.grid_x - 1;
+    for (const auto& [name, dev] : devices) {
+      for (const auto& [block, bx] :
+           {std::pair<const char*, int64_t>{"diagonal", last},
+            {"off-diagonal", 0}}) {
+        DeviceReport r;
+        r.name = name;
+        r.precision = "f32";
+        r.block = block;
+        r.bx = bx;
+        gpusim::FastPathStats stats;
+        r.interp_ns =
+            time_ghost_block(*compiled, *dev, false, nullptr, 0, bx);
+        r.fast_ns = time_ghost_block(*compiled, *dev, true, &stats, 0, bx);
+        r.coverage = stats.coverage();
+        r.collapsed_loops = stats.collapsed_loops;
+        triangular.push_back(r);
+        std::printf(
+            "%-12s TRMM %-12s interp %9.0f ns/block   fast %9.0f "
+            "ns/block   speedup %6.2fx   coverage %5.1f%%\n",
+            name.c_str(), block, r.interp_ns, r.fast_ns, r.speedup(),
+            r.coverage * 100.0);
+      }
+    }
+  }
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
+  const auto write_rows = [&out](const std::vector<DeviceReport>& rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const DeviceReport& r = rows[i];
+      char block[96] = "";
+      if (!r.block.empty()) {
+        std::snprintf(block, sizeof(block),
+                      "\"block\": \"%s\", \"by\": %lld, \"bx\": %lld, ",
+                      r.block.c_str(), static_cast<long long>(r.by),
+                      static_cast<long long>(r.bx));
+      }
+      char buf[640];
+      std::snprintf(buf, sizeof(buf),
+                    "    {\"device\": \"%s\", \"precision\": \"%s\", %s"
+                    "\"interp_ns_per_block\": %.0f, "
+                    "\"fast_ns_per_block\": %.0f, \"speedup\": %.2f, "
+                    "\"fastpath_coverage\": %.4f, \"collapsed_loops\": "
+                    "%lld}%s\n",
+                    r.name.c_str(), r.precision.c_str(), block, r.interp_ns,
+                    r.fast_ns, r.speedup(), r.coverage,
+                    static_cast<long long>(r.collapsed_loops),
+                    i + 1 < rows.size() ? "," : "");
+      out << buf;
+    }
+  };
   out << "{\n  \"benchmark\": \"gpusim_fastpath\",\n"
       << "  \"problem\": \"tuned GEMM-NN / DGEMM-NN, N=4096, ghost "
          "mode, one block\",\n  \"devices\": [\n";
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const DeviceReport& r = reports[i];
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"device\": \"%s\", \"precision\": \"%s\", "
-                  "\"interp_ns_per_block\": %.0f, "
-                  "\"fast_ns_per_block\": %.0f, \"speedup\": %.2f, "
-                  "\"fastpath_coverage\": %.4f, \"collapsed_loops\": "
-                  "%lld}%s\n",
-                  r.name.c_str(), r.precision.c_str(), r.interp_ns,
-                  r.fast_ns, r.speedup(), r.coverage,
-                  static_cast<long long>(r.collapsed_loops),
-                  i + 1 < reports.size() ? "," : "");
-    out << buf;
-  }
+  write_rows(reports);
+  out << "  ],\n  \"triangular_problem\": \"TRMM-RL-N, padded schedule "
+         "without blank_zero (k = max(j, kk)), 16x16 threads, 64x64 "
+         "tiles, N=512, ghost mode, one block\",\n  \"triangular\": [\n";
+  write_rows(triangular);
   out << "  ]\n}\n";
   std::printf("wrote %s\n", path.c_str());
   return 0;

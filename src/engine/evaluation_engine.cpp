@@ -164,6 +164,10 @@ std::string EngineStats::to_string() const {
                         fastpath.collapsed_loops));
   for (const auto& [name, secs] : simulate_seconds_by_variant) {
     out += str_format("\n  simulate %-12s %.2fs", name.c_str(), secs);
+    const auto fp = fastpath_by_variant.find(name);
+    if (fp != fastpath_by_variant.end()) {
+      out += str_format("  fastpath %.0f%%", fp->second.coverage() * 100.0);
+    }
   }
   return out;
 }
@@ -326,6 +330,7 @@ StatusOr<Evaluation> EvaluationEngine::verify_and_simulate(
   if (perf.is_ok()) {
     std::lock_guard<std::mutex> lock(fastpath_mu_);
     fastpath_ += perf->fastpath;
+    fastpath_by_variant_[variant.name()] += perf->fastpath;
   }
   OA_RETURN_IF_ERROR(perf.status());
 
@@ -388,6 +393,7 @@ EngineStats EvaluationEngine::stats() const {
   {
     std::lock_guard<std::mutex> lock(fastpath_mu_);
     out.fastpath = fastpath_;
+    out.fastpath_by_variant = fastpath_by_variant_;
   }
   std::lock_guard<std::mutex> lock(mu_);
   out.cache_entries = cache_.size();
@@ -398,6 +404,7 @@ void EvaluationEngine::reset_stats() {
   metrics_->reset("engine.");
   std::lock_guard<std::mutex> lock(fastpath_mu_);
   fastpath_ = gpusim::FastPathStats{};
+  fastpath_by_variant_.clear();
 }
 
 void EvaluationEngine::note_warm_start() { ins_.warm_starts->add(); }

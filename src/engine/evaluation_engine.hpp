@@ -116,6 +116,9 @@ struct EngineStats {
   /// Ghost-mode fast-path statement accounting summed over performance
   /// runs (coverage() is the fraction priced analytically).
   gpusim::FastPathStats fastpath;
+  /// The same accounting split by variant name (which routines still
+  /// fall back to the interpreter).
+  std::map<std::string, gpusim::FastPathStats> fastpath_by_variant;
   size_t cache_entries = 0;
 
   double hit_rate() const {
@@ -217,10 +220,12 @@ class EvaluationEngine {
   /// they can be params-dependent — only in the point-level cache.
   std::unordered_set<uint64_t> verified_;
 
-  /// Ghost-mode fast-path statement accounting; not duplicated
-  /// anywhere, so it stays a plain aggregate next to the registry.
+  /// Ghost-mode fast-path statement accounting, in total and per
+  /// variant; not duplicated anywhere, so it stays a plain aggregate
+  /// next to the registry.
   mutable std::mutex fastpath_mu_;
   gpusim::FastPathStats fastpath_;
+  std::map<std::string, gpusim::FastPathStats> fastpath_by_variant_;
 };
 
 /// Functional verification helper shared with tests/benches: run

@@ -205,6 +205,8 @@ Status BlockSim::run(int64_t by, int64_t bx, int lane_begin, int lane_end,
     site_gen_.assign(static_cast<size_t>(k_.num_sites), 0);
     exec_gen_ = 1;
     fast_var_stack_.clear();
+    cond_tx_.assign(static_cast<size_t>(k_.num_slots), 0);
+    cond_ty_.assign(static_cast<size_t>(k_.num_slots), 0);
     fallback_count_ = 0;
     masked_count_ = 0;
     lanes_synced_ = true;
@@ -840,14 +842,21 @@ bool BlockSim::group_stride(int g0, int n, int64_t uniform, int64_t c_tx,
   return false;
 }
 
-void BlockSim::materialize_group(const CRef& ref, int64_t uniform, int g0,
-                                 int g1) {
-  const int64_t atx = ref.addr_lin.tx_coeff;
-  const int64_t aty = ref.addr_lin.ty_coeff;
+std::pair<int64_t, int64_t> BlockSim::coeffs(const CLin& l) const {
+  int64_t tx = l.tx_coeff, ty = l.ty_coeff;
+  for (const auto& [slot, c] : l.cond) {
+    tx += c * cond_tx_[static_cast<size_t>(slot)];
+    ty += c * cond_ty_[static_cast<size_t>(slot)];
+  }
+  return {tx, ty};
+}
+
+void BlockSim::materialize_group(int64_t uniform, int64_t c_tx,
+                                 int64_t c_ty, int g0, int g1) {
   int64_t tx = (lane_begin_ + g0) % bx_;
   int64_t ty = (lane_begin_ + g0) / bx_;
   for (int l = g0; l < g1; ++l) {
-    scratch_addr_[static_cast<size_t>(l)] = uniform + atx * tx + aty * ty;
+    scratch_addr_[static_cast<size_t>(l)] = uniform + c_tx * tx + c_ty * ty;
     if (++tx == bx_) {
       tx = 0;
       ++ty;
@@ -885,11 +894,13 @@ Status BlockSim::process_ref_fast(const CRef& ref, bool is_store,
   {
     int64_t mn, mx;
     const int64_t ur = ref.row_lin.uniform.eval(uslots_.data());
-    affine_range(ur, ref.row_lin.tx_coeff, ref.row_lin.ty_coeff, mn, mx);
+    const auto [rtx, rty] = coeffs(ref.row_lin);
+    affine_range(ur, rtx, rty, mn, mx);
     bool oob = mn < 0 || mx >= arr.rows;
     if (!oob) {
       const int64_t uc = ref.col_lin.uniform.eval(uslots_.data());
-      affine_range(uc, ref.col_lin.tx_coeff, ref.col_lin.ty_coeff, mn, mx);
+      const auto [ctx, cty] = coeffs(ref.col_lin);
+      affine_range(uc, ctx, cty, mn, mx);
       oob = mn < 0 || mx >= arr.cols;
     }
     if (oob) {
@@ -900,8 +911,7 @@ Status BlockSim::process_ref_fast(const CRef& ref, bool is_store,
   }
 
   const int64_t ua = ref.addr_lin.uniform.eval(uslots_.data());
-  const int64_t atx = ref.addr_lin.tx_coeff;
-  const int64_t aty = ref.addr_lin.ty_coeff;
+  const auto [atx, aty] = coeffs(ref.addr_lin);
 
   if (!is_store) {
     // Register-caching gate on the canonical triple (base, row step,
@@ -919,7 +929,7 @@ Status BlockSim::process_ref_fast(const CRef& ref, bool is_store,
       // per-lane reuse row holds the live state: run the interpreter's
       // own compare over the materialized affine addresses once, then
       // hand the site back to the triple summary.
-      materialize_group(ref, ua, 0, nlanes_);
+      materialize_group(ua, atx, aty, 0, nlanes_);
       int64_t* row =
           reuse_addr_.data() + s * static_cast<size_t>(nlanes_);
       reused = true;
@@ -973,7 +983,7 @@ Status BlockSim::process_ref_fast(const CRef& ref, bool is_store,
             counters_.shared_bank_conflict_replays += degree - 1;
           }
         } else {
-          materialize_group(ref, ua, g0, g1);
+          materialize_group(ua, atx, aty, g0, g1);
           count_group(arr, ref, is_store, full_mask_, g0, g1, g1 - g0,
                       count_inst);
         }
@@ -985,7 +995,7 @@ Status BlockSim::process_ref_fast(const CRef& ref, bool is_store,
         // Fermi loads keep per-(site, lane) L1 line state: materialize
         // the affine addresses (a cheap incremental walk) and run the
         // exact per-group scan so the line cache stays bit-identical.
-        materialize_group(ref, ua, 0, nlanes_);
+        materialize_group(ua, atx, aty, 0, nlanes_);
         for (int g0 = 0; g0 < nlanes_; g0 += dev_.warp_size) {
           const int g1 = std::min(g0 + dev_.warp_size, nlanes_);
           count_group(arr, ref, is_store, full_mask_, g0, g1, g1 - g0,
@@ -1001,7 +1011,7 @@ Status BlockSim::process_ref_fast(const CRef& ref, bool is_store,
         const int ng = g1 - g0;
         int64_t base, s;
         if (!group_stride(g0, ng, ua, atx, aty, base, s)) {
-          materialize_group(ref, ua, g0, g1);
+          materialize_group(ua, atx, aty, g0, g1);
           count_group(arr, ref, is_store, full_mask_, g0, g1, ng,
                       count_inst);
           continue;
@@ -1099,6 +1109,23 @@ bool BlockSim::binding_terms(const CNode& n, size_t& bi, size_t& bj) const {
   return bi != nl && bj != nu;
 }
 
+bool BlockSim::bind_loop_var(const CNode& n, int64_t ctx, int64_t cty) {
+  const size_t vs = static_cast<size_t>(n.var_slot);
+  switch (k_.slot_lane[vs]) {
+    case CompiledKernel::SlotLane::kConditional:
+      cond_tx_[vs] = ctx;
+      cond_ty_[vs] = cty;
+      return true;
+    case CompiledKernel::SlotLane::kAffine:
+      // References were annotated with the static coefficients, which
+      // every lb term shares — a cheap invariant check.
+      return ctx == k_.slot_tx[vs] && cty == k_.slot_ty[vs];
+    case CompiledKernel::SlotLane::kIrregular:
+      break;  // no reference over it prices analytically
+  }
+  return true;
+}
+
 Status BlockSim::exec_fast_loop(const CNode& n) {
   size_t bi, bj;
   if (!binding_terms(n, bi, bj)) return fallback_node(n);
@@ -1106,24 +1133,23 @@ Status BlockSim::exec_fast_loop(const CNode& n) {
   const int64_t hi = n.ub.terms[bj].eval(uslots_.data());
   const auto [ctx, cty] = n.lb_tc[bi];
   const auto [utx, uty] = n.ub_tc[bj];
-  // Lockstep trip counts need ub - lb lane-invariant: the binding terms
-  // must share thread coefficients, which then also give the loop
-  // variable's lane decomposition. A coefficient mismatch means genuine
-  // divergence — handled analytically too when no lane runs more than
-  // one trip (tile-load loops striding by the thread count).
-  if (ctx != utx || cty != uty) {
+  // Lockstep iteration needs one trip count for every lane: ub - lb of
+  // the binding terms must take a single value over the simulated
+  // lanes. Equal thread coefficients guarantee it, and so does a
+  // mismatch only on an axis the lane range holds fixed (a block one
+  // thread wide, or a warp slice within one row) — the trip count then
+  // includes that constant lane offset. The loop variable is
+  // lane-affine with the binding lb term's coefficients either way.
+  // Anything else is genuine divergence — handled analytically too
+  // when no lane runs more than one trip (tile-load loops striding by
+  // the thread count).
+  int64_t span, span_max;
+  affine_range(hi - lo, utx - ctx, uty - cty, span, span_max);
+  if (span != span_max) {
     return exec_masked_loop(n, lo, hi, ctx, cty, utx, uty);
   }
-  // References were annotated against the global slot table; if the
-  // table classified this variable lane-affine, the runtime resolution
-  // must agree with it (it always does for lb-derived coefficients —
-  // this is a cheap invariant check).
-  const size_t vs = static_cast<size_t>(n.var_slot);
-  if (k_.slot_affine[vs] &&
-      (ctx != k_.slot_tx[vs] || cty != k_.slot_ty[vs])) {
-    return fallback_node(n);
-  }
-  const int64_t trips = hi > lo ? (hi - lo + n.step - 1) / n.step : 0;
+  if (!bind_loop_var(n, ctx, cty)) return fallback_node(n);
+  const int64_t trips = span > 0 ? (span + n.step - 1) / n.step : 0;
   // Loop maintenance: lockstep bounds mean every warp runs every trip,
   // so warp_iterations = warps * trips.
   counters_.instructions +=
@@ -1198,7 +1224,7 @@ Status BlockSim::exec_fast_loop(const CNode& n) {
     }
   }
   if (!collapsed) {
-    for (int64_t v = next; v < hi; v += n.step) {
+    for (int64_t v = next; v < lo + span; v += n.step) {
       uslots_[static_cast<size_t>(n.var_slot)] = v;
       lanes_synced_ = false;
       OA_RETURN_IF_ERROR(exec_fast(n.body));
@@ -1217,14 +1243,9 @@ Status BlockSim::exec_masked_loop(const CNode& n, int64_t ulb, int64_t uub,
   // every tile-load loop `for (i = tid; i < T; i += nthreads)` — the
   // whole loop is one masked round over a statically known lane set.
   //
-  // The references inside were annotated against the slot table, so the
-  // loop variable must be lane-affine there with exactly the lb
-  // coefficients (its per-lane value on the single trip is the lb).
-  const size_t vs = static_cast<size_t>(n.var_slot);
-  if (!k_.slot_affine[vs] || ltx != k_.slot_tx[vs] ||
-      lty != k_.slot_ty[vs]) {
-    return fallback_node(n);
-  }
+  // The loop variable's per-lane value on the single trip is the lb, so
+  // the references inside price it with the lb coefficients.
+  if (!bind_loop_var(n, ltx, lty)) return fallback_node(n);
   int64_t dmn, dmx;
   affine_range(uub - ulb, utx - ltx, uty - lty, dmn, dmx);
   if (dmx > n.step) return fallback_node(n);  // some lane iterates twice
@@ -1267,7 +1288,7 @@ Status BlockSim::exec_masked_loop(const CNode& n, int64_t ulb, int64_t uub,
   // collapse's analytic skip cannot replay — void any attempt.
   ++masked_count_;
   fast_var_stack_.push_back({n.var_slot, ltx, lty});
-  uslots_[vs] = ulb;
+  uslots_[static_cast<size_t>(n.var_slot)] = ulb;
   lanes_synced_ = false;
   const Status st = exec_masked(n.body, mask, l0, l1);
   fast_var_stack_.pop_back();
@@ -1387,13 +1408,13 @@ Status BlockSim::process_ref_masked(const CRef& ref, bool is_store,
   {
     int64_t mn, mx;
     const int64_t ur = ref.row_lin.uniform.eval(uslots_.data());
-    affine_range_lanes(ur, ref.row_lin.tx_coeff, ref.row_lin.ty_coeff, l0,
-                       l1, mn, mx);
+    const auto [rtx, rty] = coeffs(ref.row_lin);
+    affine_range_lanes(ur, rtx, rty, l0, l1, mn, mx);
     bool oob = mn < 0 || mx >= arr.rows;
     if (!oob) {
       const int64_t uc = ref.col_lin.uniform.eval(uslots_.data());
-      affine_range_lanes(uc, ref.col_lin.tx_coeff, ref.col_lin.ty_coeff,
-                         l0, l1, mn, mx);
+      const auto [ctx, cty] = coeffs(ref.col_lin);
+      affine_range_lanes(uc, ctx, cty, l0, l1, mn, mx);
       oob = mn < 0 || mx >= arr.cols;
     }
     if (oob) {
@@ -1408,8 +1429,9 @@ Status BlockSim::process_ref_masked(const CRef& ref, bool is_store,
   // counting over them — identical pricing, minus the per-lane
   // subscript evaluation.
   const int64_t ua = ref.addr_lin.uniform.eval(uslots_.data());
+  const auto [atx, aty] = coeffs(ref.addr_lin);
   if (!is_store) adopt_site_interp(ref);
-  materialize_group(ref, ua, l0, l1 + 1);
+  materialize_group(ua, atx, aty, l0, l1 + 1);
   if (!is_store) {
     bool all_reused = true;
     for (int l = l0; l <= l1; ++l) {
@@ -1490,7 +1512,7 @@ bool BlockSim::collapse_bounds_ok(const CNode& n, int64_t lo,
 
 bool BlockSim::sites_in_bounds(
     const std::vector<CNode>& body,
-    std::vector<std::pair<int64_t, int64_t>>& iv) const {
+    std::vector<std::pair<int64_t, int64_t>>& iv) {
   // `iv` holds uniform-component intervals. Thread slots sit at their
   // uniform component 0 — their contribution enters through the
   // aggregated lane-affine coefficients below, never slot-wise.
@@ -1513,8 +1535,9 @@ bool BlockSim::sites_in_bounds(
   // coefficients over the lane range.
   const auto lin_range = [&](const CLin& l) {
     auto [lo, hi] = expr_range(l.uniform);
+    const auto [ctx, cty] = coeffs(l);
     int64_t mn, mx;
-    affine_range(0, l.tx_coeff, l.ty_coeff, mn, mx);
+    affine_range(0, ctx, cty, mn, mx);
     return std::pair<int64_t, int64_t>{lo + mn, hi + mx};
   };
   const auto ref_ok = [&](const CRef& r) {
@@ -1557,6 +1580,17 @@ bool BlockSim::sites_in_bounds(
           ubr[j] = expr_range(n.ub.terms[j]);
           points &= ubr[j].first == ubr[j].second;
         }
+        const size_t vs = static_cast<size_t>(n.var_slot);
+        const bool cond =
+            k_.slot_lane[vs] == CompiledKernel::SlotLane::kConditional;
+        // Spread over the lanes of lb term i's offset from ub term j:
+        // the loop runs in lockstep only where it is a single value.
+        const auto offset = [&](size_t i, size_t j, int64_t& mn,
+                                int64_t& mx) {
+          affine_range(0, n.ub_tc[j].first - n.lb_tc[i].first,
+                       n.ub_tc[j].second - n.lb_tc[i].second, mn, mx);
+        };
+        size_t bi = nl, bj = nu;
         int64_t vlo, vhi;
         if (points) {
           const auto binds = [&](size_t i, size_t m, const auto& r,
@@ -1567,7 +1601,6 @@ bool BlockSim::sites_in_bounds(
                          tc[i].second - tc[m].second, mn, mx);
             return want_max ? mn >= 0 : mx <= 0;
           };
-          size_t bi = nl, bj = nu;
           for (size_t i = 0; i < nl && bi == nl; ++i) {
             bool all = true;
             for (size_t m = 0; m < nl && all; ++m) {
@@ -1585,23 +1618,46 @@ bool BlockSim::sites_in_bounds(
           // No block-wide binding term means the nested loop diverges
           // and falls back, voiding the attempt.
           if (bi == nl || bj == nu) return false;
+          int64_t mn, mx;
+          offset(bi, bj, mn, mx);
+          const int64_t span = ubr[bj].first - lbr[bi].first;
+          if (span + mx <= 0) break;  // no lane runs a trip
+          // A trip count that differs across lanes runs masked or falls
+          // back, voiding the attempt.
+          if (mn != mx) return false;
           vlo = lbr[bi].first;
-          vhi = ubr[bj].first - 1;
+          vhi = vlo + span + mn - 1;  // the executor's lockstep trips
         } else {
           // Interval-valued terms (e.g. triangular nests over the
-          // collapsed variable's subscripts): a union over all terms is
-          // a sound superset whichever terms bind.
+          // collapsed variable's subscripts): a union over every term
+          // pair that can iterate in lockstep is a sound superset
+          // whichever terms bind. A conditionally affine variable's
+          // coefficients would depend on the binding term: refuse.
+          if (cond) return false;
           vlo = INT64_MAX;
           vhi = INT64_MIN;
-          for (size_t i = 0; i < nl; ++i) vlo = std::min(vlo, lbr[i].first);
-          for (size_t j = 0; j < nu; ++j) {
-            vhi = std::max(vhi, ubr[j].second - 1);
+          for (size_t i = 0; i < nl; ++i) {
+            vlo = std::min(vlo, lbr[i].first);
+            for (size_t j = 0; j < nu; ++j) {
+              int64_t mn, mx;
+              offset(i, j, mn, mx);
+              if (mn == mx) vhi = std::max(vhi, ubr[j].second + mn - 1);
+            }
           }
         }
-        const auto saved = iv[static_cast<size_t>(n.var_slot)];
-        iv[static_cast<size_t>(n.var_slot)] = {vlo, std::max(vlo, vhi)};
+        // Bind a conditionally affine variable to its binding term for
+        // the nested references, as the executor will.
+        const auto saved = iv[vs];
+        const int64_t saved_tx = cond_tx_[vs], saved_ty = cond_ty_[vs];
+        if (cond) {
+          cond_tx_[vs] = n.lb_tc[bi].first;
+          cond_ty_[vs] = n.lb_tc[bi].second;
+        }
+        iv[vs] = {vlo, std::max(vlo, vhi)};
         const bool ok = sites_in_bounds(n.body, iv);
-        iv[static_cast<size_t>(n.var_slot)] = saved;
+        iv[vs] = saved;
+        cond_tx_[vs] = saved_tx;
+        cond_ty_[vs] = saved_ty;
         if (!ok) return false;
         break;
       }

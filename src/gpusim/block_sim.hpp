@@ -119,6 +119,14 @@ class BlockSim {
   /// the ub term that is the minimum for *every* simulated lane (via
   /// interval tests on the pairwise term differences).
   bool binding_terms(const CNode& n, size_t& bi, size_t& bj) const;
+  /// Bind a loop variable's lane decomposition for one execution of
+  /// its loop: a kConditional variable takes the binding lb term's
+  /// coefficients; a kAffine one must already have them. False when
+  /// the references inside cannot price the variable analytically.
+  bool bind_loop_var(const CNode& n, int64_t ctx, int64_t cty);
+  /// Thread coefficients of a lane-affine form, with its conditionally
+  /// affine slots at their current executions' coefficients.
+  std::pair<int64_t, int64_t> coeffs(const CLin& l) const;
   /// Divergent loops where no lane iterates more than once (tile-load
   /// loops striding by the thread count): one analytically-masked round.
   Status exec_masked_loop(const CNode& n, int64_t ulb, int64_t uub,
@@ -151,12 +159,13 @@ class BlockSim {
   /// [g0, g0+n) form base + s*i.
   bool group_stride(int g0, int n, int64_t uniform, int64_t c_tx,
                     int64_t c_ty, int64_t& base, int64_t& stride) const;
-  void materialize_group(const CRef& ref, int64_t uniform, int g0, int g1);
+  void materialize_group(int64_t uniform, int64_t c_tx, int64_t c_ty,
+                         int g0, int g1);
   /// Interval-arithmetic proof that every reference in `body` stays in
   /// bounds for all trip values in [lo, last] (the collapse skip-check).
   bool collapse_bounds_ok(const CNode& n, int64_t lo, int64_t last);
   bool sites_in_bounds(const std::vector<CNode>& body,
-                       std::vector<std::pair<int64_t, int64_t>>& iv) const;
+                       std::vector<std::pair<int64_t, int64_t>>& iv);
 
   const CompiledKernel& k_;
   const DeviceModel& dev_;
@@ -203,6 +212,9 @@ class BlockSim {
     int64_t tx, ty;
   };
   std::vector<FastVar> fast_var_stack_;
+  /// Per slot: thread coefficients of a kConditional loop variable in
+  /// the current execution of its loop (read through coeffs()).
+  std::vector<int64_t> cond_tx_, cond_ty_;
   bool lanes_synced_ = true;
   /// Monotone count of interpreter delegations (statement fallbacks and
   /// out-of-bounds reference handoffs). A collapse attempt commits its

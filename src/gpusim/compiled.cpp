@@ -231,47 +231,38 @@ void signature_walk(const std::vector<CNode>& body, int64_t* slots,
 // here, so whether a statement takes the fast path never depends on
 // runtime data.
 
-/// Per-slot lane-affine classification under construction: affine[s]
-/// says lanes hold uniform_component + tx[s]*tx + ty[s]*ty; `defined`
-/// marks loop variables whose coefficients a defining loop has fixed
-/// (a second defining loop must agree or the slot drops to irregular).
+using SlotLane = CompiledKernel::SlotLane;
+
+/// Per-slot lane classification under construction: kAffine slots hold
+/// uniform_component + tx[s]*tx + ty[s]*ty; `defined` marks loop
+/// variables whose coefficients a defining loop has fixed (a second
+/// defining loop must agree or the slot drops to kConditional).
 struct AffineTable {
-  std::vector<uint8_t> affine;
+  std::vector<SlotLane> lane;
   std::vector<int64_t> tx, ty;
   std::vector<uint8_t> defined;
+
+  /// Monotone: a slot's class only ever drops (kAffine -> kConditional
+  /// -> kIrregular), which makes the walk below a fixed point.
+  void drop(size_t s, SlotLane to, bool& changed) {
+    if (lane[s] < to) {
+      lane[s] = to;
+      changed = true;
+    }
+  }
 };
 
 /// Aggregated thread coefficients of one expression, via the table.
-/// Returns false when any referenced slot is not lane-affine.
+/// Returns false when any referenced slot is not kAffine.
 bool expr_coeffs(const CExpr& e, const AffineTable& t, int64_t& ctx,
                  int64_t& cty) {
   ctx = 0;
   cty = 0;
   for (const auto& [slot, c] : e.terms) {
     const size_t s = static_cast<size_t>(slot);
-    if (!t.affine[s]) return false;
+    if (t.lane[s] != SlotLane::kAffine) return false;
     ctx += c * t.tx[s];
     cty += c * t.ty[s];
-  }
-  return true;
-}
-
-/// Shared thread coefficients of a whole max/min bound: every term must
-/// be lane-affine with identical aggregated coefficients — then the
-/// per-lane max/min always picks the same term and the bound itself is
-/// lane-affine with those coefficients.
-bool bound_coeffs(const CBound& b, const AffineTable& t, bool& first,
-                  int64_t& ctx, int64_t& cty) {
-  for (const CExpr& term : b.terms) {
-    int64_t x, y;
-    if (!expr_coeffs(term, t, x, y)) return false;
-    if (first) {
-      ctx = x;
-      cty = y;
-      first = false;
-    } else if (x != ctx || y != cty) {
-      return false;
-    }
   }
   return true;
 }
@@ -280,25 +271,35 @@ bool bound_coeffs(const CBound& b, const AffineTable& t, bool& first,
 /// decomposition is shaped by its *lower* bound only (the value is
 /// lb + trips*step; the upper bound just stops the iteration, and the
 /// executor separately verifies lockstep trip counts at runtime).
-/// Monotone: affinity only ever drops, and a loop variable's
-/// coefficients are fixed once — a conflicting later definition (slot
-/// reuse across loops) drops the slot to irregular instead of
-/// re-pinning.
+/// Lower-bound terms with static coefficients make it lane-affine. When
+/// they disagree (`max(i, kk)`), or a second defining loop (slot reuse
+/// across loops) disagrees, the coefficients depend on which term binds
+/// — a per-execution fact the executor resolves — and the variable is
+/// kConditional. Any term over a slot that is not kAffine makes it
+/// kIrregular.
 void affinity_walk(const std::vector<CNode>& body, AffineTable& t,
                    bool& changed) {
   for (const CNode& n : body) {
     switch (n.kind) {
       case CNode::Kind::kLoop: {
-        bool first = true;
+        bool affine = true, agree = true;
         int64_t ctx = 0, cty = 0;
-        const bool ok = bound_coeffs(n.lb, t, first, ctx, cty);
-        const size_t v = static_cast<size_t>(n.var_slot);
-        if (!ok) {
-          if (t.affine[v]) {
-            t.affine[v] = 0;
-            changed = true;
+        for (size_t i = 0; i < n.lb.terms.size() && affine; ++i) {
+          int64_t x, y;
+          affine = expr_coeffs(n.lb.terms[i], t, x, y);
+          if (i == 0) {
+            ctx = x;
+            cty = y;
+          } else {
+            agree &= x == ctx && y == cty;
           }
-        } else if (t.affine[v]) {
+        }
+        const size_t v = static_cast<size_t>(n.var_slot);
+        if (!affine) {
+          t.drop(v, SlotLane::kIrregular, changed);
+        } else if (!agree) {
+          t.drop(v, SlotLane::kConditional, changed);
+        } else if (t.lane[v] == SlotLane::kAffine) {
           if (!t.defined[v]) {
             t.defined[v] = 1;
             if (t.tx[v] != ctx || t.ty[v] != cty) {
@@ -307,8 +308,7 @@ void affinity_walk(const std::vector<CNode>& body, AffineTable& t,
               changed = true;
             }
           } else if (t.tx[v] != ctx || t.ty[v] != cty) {
-            t.affine[v] = 0;
-            changed = true;
+            t.drop(v, SlotLane::kConditional, changed);
           }
         }
         affinity_walk(n.body, t, changed);
@@ -335,9 +335,18 @@ struct Annotator {
     out.uniform_ok = true;
     for (const auto& [slot, c] : e.terms) {
       const size_t s = static_cast<size_t>(slot);
-      if (!t.affine[s]) out.uniform_ok = false;
-      out.tx_coeff += c * t.tx[s];
-      out.ty_coeff += c * t.ty[s];
+      switch (t.lane[s]) {
+        case SlotLane::kAffine:
+          out.tx_coeff += c * t.tx[s];
+          out.ty_coeff += c * t.ty[s];
+          break;
+        case SlotLane::kConditional:
+          out.cond.emplace_back(slot, c);
+          break;
+        case SlotLane::kIrregular:
+          out.uniform_ok = false;
+          break;
+      }
       // Thread indices live entirely in the coefficients; every other
       // slot keeps its term — the fast path's uniform slot array holds
       // lane-invariant components (0 for the thread slots), so
@@ -432,7 +441,7 @@ struct Annotator {
   }
 
   /// Per-term thread coefficients of a bound; false when any term
-  /// references an irregular slot.
+  /// references a slot that is not kAffine.
   bool bound_term_coeffs(const CBound& b,
                          std::vector<std::pair<int64_t, int64_t>>& out)
       const {
@@ -495,11 +504,12 @@ void annotate_fastpath(CompiledKernel& k) {
   // Lane-affinity fixed point over the slots: thread coordinates are
   // affine with unit coefficients, parameters and block indices with
   // zero coefficients, and a loop variable inherits the shared
-  // coefficients of its bounds (or becomes irregular when the bound
-  // terms disagree or reference an irregular slot).
+  // coefficients of its lower bound's terms (see affinity_walk for
+  // when it is conditional or irregular instead).
   const size_t ns = static_cast<size_t>(k.num_slots);
-  AffineTable t{std::vector<uint8_t>(ns, 1), std::vector<int64_t>(ns, 0),
-                std::vector<int64_t>(ns, 0), std::vector<uint8_t>(ns, 0)};
+  AffineTable t{std::vector<SlotLane>(ns, SlotLane::kAffine),
+                std::vector<int64_t>(ns, 0), std::vector<int64_t>(ns, 0),
+                std::vector<uint8_t>(ns, 0)};
   if (k.thread_x_slot >= 0) {
     const size_t s = static_cast<size_t>(k.thread_x_slot);
     t.tx[s] = 1;
@@ -533,7 +543,7 @@ void annotate_fastpath(CompiledKernel& k) {
     }
   }
   if (collision) {
-    k.slot_affine = std::move(t.affine);
+    k.slot_lane = std::move(t.lane);
     k.slot_tx = std::move(t.tx);
     k.slot_ty = std::move(t.ty);
     return;  // every node keeps fast=false -> full interpreter fallback
@@ -547,7 +557,7 @@ void annotate_fastpath(CompiledKernel& k) {
 
   Annotator a{k, t};
   a.annotate_body(k.body);
-  k.slot_affine = std::move(t.affine);
+  k.slot_lane = std::move(t.lane);
   k.slot_tx = std::move(t.tx);
   k.slot_ty = std::move(t.ty);
 }

@@ -7,12 +7,16 @@
 //
 // Compilation also performs the *warp-analytic* analysis the ghost-mode
 // fast path (block_sim.cpp) builds on: every slot is classified
-// lane-affine (value = uniform + c_tx*tx + c_ty*ty with static
-// coefficients) or lane-irregular, every reference is decomposed into
-// that same lane-affine form, and loops whose per-trip counter
-// contribution is provably regular are marked as collapse candidates.
-// All of it is static per (kernel, params) — the fast path never has to
-// make a data-dependent fallback decision.
+// lane-affine (value = uniform + c_tx*tx + c_ty*ty), conditionally
+// lane-affine (the same form, but with coefficients that depend on
+// which lower-bound term of the defining loop binds), or
+// lane-irregular; every reference is decomposed into that lane-affine
+// form, and loops whose per-trip counter contribution is provably
+// regular are marked as collapse candidates. The classification is
+// static per (kernel, params); the executor binds a conditionally
+// affine variable's coefficients on each execution of its loop, from
+// the binding terms it resolves for the block. Nothing depends on
+// runtime data.
 #pragma once
 
 #include <cstdint>
@@ -78,13 +82,17 @@ struct CArray {
 /// where `uniform` carries every non-thread slot evaluated at its
 /// lane-invariant component, and tx/ty coefficients aggregate both the
 /// direct thread-index terms and the thread components of lane-affine
-/// loop variables (slot_tx/slot_ty below). `uniform_ok` says every
-/// residual slot is lane-affine, i.e. the whole value is an affine
-/// function of the lane's thread coordinates — the precondition for
-/// closed-form coalescing analysis.
+/// loop variables (slot_tx/slot_ty below). Conditionally lane-affine
+/// slots stay in `uniform` and are listed in `cond` with their
+/// coefficients: the executor adds coeff * (the slot's coefficients
+/// in the current execution of its loop) to tx_coeff/ty_coeff.
+/// `uniform_ok` says no slot is lane-irregular, i.e. the whole value
+/// is an affine function of the lane's thread coordinates — the
+/// precondition for closed-form coalescing analysis.
 struct CLin {
   CExpr uniform;
   int64_t tx_coeff = 0, ty_coeff = 0;
+  std::vector<std::pair<int, int64_t>> cond;  // (slot, coeff)
   bool uniform_ok = false;
 };
 
@@ -139,13 +147,14 @@ struct CNode {
   std::vector<CNode> body;
   // Fast-path annotations (kLoop).
   int loop_id = -1;
-  /// Every lb/ub term is lane-affine (and step > 0), so the executor
-  /// can resolve which term binds for a whole block at runtime: when
-  /// the binding lb and ub terms share aggregated thread coefficients,
-  /// lanes iterate in lockstep and the loop variable is itself
-  /// lane-affine with those coefficients. Bounds like min(N, affine)
-  /// resolve to the affine term on interior blocks and fall back to the
-  /// interpreter only on boundary blocks where the terms cross.
+  /// Every lb/ub term is lane-affine with static coefficients (and
+  /// step > 0), so the executor can resolve which term binds for a
+  /// whole block at runtime: when ub - lb of the binding terms takes
+  /// one value over the simulated lanes, lanes iterate in lockstep and
+  /// the loop variable is lane-affine with the binding lb term's
+  /// coefficients. Bounds like min(N, affine) resolve to the affine
+  /// term on interior blocks and fall back to the interpreter only on
+  /// boundary blocks where the terms cross.
   bool bounds_uniform = false;
   /// Aggregated (tx, ty) coefficients of each lb/ub term, in term
   /// order (valid when bounds_uniform).
@@ -187,16 +196,21 @@ struct CompiledKernel {
   int num_slots = 0;
   int num_sites = 0;           // static reference sites
   int num_loops = 0;           // sequential loops (fast-path loop ids)
-  /// Per-slot lane-affine decomposition (annotate_fastpath): when
-  /// slot_affine[s], the slot's value in a lane is provably
+  /// Per-slot lane decomposition (annotate_fastpath). A kAffine slot's
+  /// value in a lane is provably
   ///   uniform_component + slot_tx[s]*tx + slot_ty[s]*ty
   /// with the static coefficients below (thread slots are (1,0)/(0,1);
   /// parameters, block indices and uniform-bound loop variables are
   /// (0,0); tiled loop variables like `i from ty*r` carry their lower
   /// bound's coefficients — the variable is lb + trips*step, so only lb
-  /// shapes its lane decomposition). The uniform component is what the
-  /// fast path tracks in its uniform slot array.
-  std::vector<uint8_t> slot_affine;
+  /// shapes its lane decomposition). A kConditional slot is a loop
+  /// variable whose lb terms are lane-affine but disagree on their
+  /// coefficients (TRMM's `k = max(i, kk)`), or whose defining loops
+  /// disagree: each execution takes the coefficients of the lb term
+  /// that binds for the block. The uniform component is what the fast
+  /// path tracks in its uniform slot array.
+  enum class SlotLane : uint8_t { kAffine, kConditional, kIrregular };
+  std::vector<SlotLane> slot_lane;
   std::vector<int64_t> slot_tx, slot_ty;
   // Slots pre-bound by the launcher / lane setup.
   int block_y_slot = -1, block_x_slot = -1;

@@ -277,5 +277,33 @@ TEST(EngineStats, ReportsBreakdown) {
   EXPECT_EQ(eng.cache_size(), 0u);
 }
 
+TEST(EngineStats, FastPathCoverageSplitsByVariant) {
+  gpusim::Simulator sim(gpusim::gtx285());
+  EvaluationEngine eng(sim);
+  for (const char* name : {"GEMM-NN", "DGEMM-NN"}) {
+    ASSERT_TRUE(eng.evaluate(*find_variant(name), gemm_candidate(),
+                             volkov_point(), quick_config())
+                    .is_ok());
+  }
+  const EngineStats stats = eng.stats();
+  ASSERT_EQ(stats.fastpath_by_variant.size(), 2u);
+  gpusim::FastPathStats sum;
+  for (const auto& [name, fp] : stats.fastpath_by_variant) {
+    EXPECT_GT(fp.fast_statements, 0) << name;
+    sum += fp;
+  }
+  EXPECT_EQ(sum.fast_statements, stats.fastpath.fast_statements);
+  EXPECT_EQ(sum.interp_statements, stats.fastpath.interp_statements);
+  // Printed beside the variant's simulate line.
+  const std::string text = stats.to_string();
+  const size_t line = text.find("simulate DGEMM-NN");
+  ASSERT_NE(line, std::string::npos);
+  EXPECT_NE(text.substr(line, text.find('\n', line) - line).find("fastpath"),
+            std::string::npos);
+
+  eng.reset_stats();
+  EXPECT_TRUE(eng.stats().fastpath_by_variant.empty());
+}
+
 }  // namespace
 }  // namespace oa::engine
